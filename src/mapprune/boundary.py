@@ -62,10 +62,11 @@ def boundary_potential(
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Replacement table over the inside part of a straddling factor's scope.
 
-    mode="original": max over outside labels where the inside tuple matches y,
-    min elsewhere.  mode="optimal" (pairwise only): 0 at the test label and
-    min_xv(theta(x_u, xv) - theta(y_u, xv)) elsewhere, i.e. the original rule
-    after the optimal reparametrization cancels the test row.
+    Max over outside labels where the inside tuple matches y, min elsewhere.
+    mode="optimal" (pairwise only) applies the same rule after subtracting
+    the test row from the table, which is the optimal reparametrization
+    restricted to this factor: 0 at the test label and
+    min_xv(theta(x_u, xv) - theta(y_u, xv)) elsewhere.
 
     Returns (inside scope, table over that scope's label space).
     """
@@ -85,20 +86,16 @@ def boundary_potential(
     arr = np.transpose(f.table, ins_pos + out_pos)
     k_ins = arr.shape[: len(ins_pos)]
     flat = arr.reshape(int(np.prod(k_ins)), -1)
+    y_flat = np.ravel_multi_index(y_ins, k_ins)
 
     if mode == "optimal":
         if f.arity != 2:
             raise UnsupportedArityError(
                 "optimal-mode boundary potentials are defined for pairwise factors only"
             )
-        # flat rows are inside labels, columns the single outside node.
-        shifted = flat - flat[np.ravel_multi_index(y_ins, k_ins)][None, :]
-        table = shifted.min(axis=1)
-        table[np.ravel_multi_index(y_ins, k_ins)] = 0.0
-    else:
-        table = flat.min(axis=1)
-        y_flat = np.ravel_multi_index(y_ins, k_ins)
-        table[y_flat] = flat[y_flat].max()
+        flat = flat - flat[y_flat]
+    table = flat.min(axis=1)
+    table[y_flat] = flat[y_flat].max()
     return ins_scope, table.reshape(k_ins)
 
 
@@ -114,9 +111,6 @@ class AugmentedModel:
     nodes: tuple[int, ...]
     test_labeling: PartialLabeling
     mode: str
-
-    def to_local(self, v: int) -> int:
-        return self.nodes.index(v)
 
     def local_index(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.nodes)}
@@ -172,42 +166,23 @@ def build_gamma_model(
 ) -> AugmentedModel:
     """The all-to-one improving-mapping test energy over the full node set.
 
-    Inside A every potential is shifted by its value at y; boundary edges
-    contribute min_xv(theta(x_u, xv) - theta(y_u, xv)) to the inside unary;
-    everything else is zeroed.  The test labeling itself gets energy 0, so
-    the mapping improves exactly when the minimum is 0.
+    The optimal-mode augmented model over A (the boundary rule after the row
+    shift), put back on the original node ids with every factor shifted by
+    its value at y; factors outside A are dropped.  The test labeling itself
+    gets energy 0, so the mapping improves exactly when the minimum is 0.
     """
     if not model.is_pairwise:
         raise UnsupportedArityError("the improving-mapping energy needs a pairwise model")
     ys = model.validate_labeling(y)
-    inside = set(int(v) for v in nodes)
-    if not inside <= set(range(model.num_nodes)):
-        raise DomainError("subset contains invalid node ids")
-
-    factors: list[Factor] = []
-    for f in model.factors:
-        if f.arity == 1:
-            v = f.scope[0]
-            table = f.table - f.table[ys[v]] if v in inside else np.zeros_like(f.table)
-            factors.append(Factor(f.scope, table))
-        else:
-            u, v = f.scope
-            if u in inside and v in inside:
-                factors.append(Factor(f.scope, f.table - f.table[ys[u], ys[v]]))
-            else:
-                factors.append(Factor(f.scope, np.zeros_like(f.table)))
-                if u in inside:
-                    shifted = (f.table - f.table[ys[u], :][None, :]).min(axis=1)
-                    factors.append(Factor((u,), shifted))
-                elif v in inside:
-                    shifted = (f.table - f.table[:, ys[v]][:, None]).min(axis=0)
-                    factors.append(Factor((v,), shifted))
-    sub = GraphicalModel(model.label_counts, factors)
+    full = PartialLabeling(tuple(range(model.num_nodes)), ys)
+    aug = build_augmented_model(model, nodes, full, mode="optimal")
+    factors = []
+    for f in aug.model.factors:
+        scope = tuple(aug.nodes[i] for i in f.scope)
+        factors.append(Factor(scope, f.table - f.table[tuple(ys[v] for v in scope)]))
     return AugmentedModel(
-        model=sub,
-        nodes=tuple(range(model.num_nodes)),
-        test_labeling=PartialLabeling(
-            tuple(sorted(inside)), tuple(ys[v] for v in sorted(inside))
-        ),
+        model=GraphicalModel(model.label_counts, factors),
+        nodes=full.domain,
+        test_labeling=full.restrict(aug.nodes),
         mode="gamma",
     )

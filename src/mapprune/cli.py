@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import MapPruneError, SolverError, StateSpaceCapError, UaiParseError
-from .instances import InstanceSpec, generate
+from .instances import KINDS, InstanceSpec, generate
 from .model import GraphicalModel
 from .oracle import verify_persistent
 from .persistency import prune
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
 
     sp = sub.add_parser("gen", help="emit a synthetic instance as UAI text")
-    sp.add_argument("--kind", choices=("potts-grid", "random-pairwise", "random-hyper", "frustrated-cycle"), required=True)
+    sp.add_argument("--kind", choices=KINDS, required=True)
     sp.add_argument("--hw", type=_hw_pair, default=None, help="grid HxW")
     sp.add_argument("--nodes", type=int, default=0)
     sp.add_argument("--labels", type=int, default=2)
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", type=Path, default=None)
 
     sp = sub.add_parser("bench", help="sweep seeded instances, emit CSV")
-    sp.add_argument("--gen", dest="kind", choices=("potts-grid", "random-pairwise", "random-hyper", "frustrated-cycle"), required=True)
+    sp.add_argument("--gen", dest="kind", choices=KINDS, required=True)
     sp.add_argument("--hw", type=_hw_pair, default=None)
     sp.add_argument("--nodes", type=int, default=0)
     sp.add_argument("--labels", type=int, default=2)

@@ -95,29 +95,6 @@ class PersistencyResult:
         """Number of augmented subproblem solves (the init solve excluded)."""
         return len(self.trace) - 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a_star": list(self.a_star),
-            "x_star": {str(v): int(l) for v, l in self.x_star.as_mapping().items()},
-            "mode": self.mode,
-            "solver": self.solver,
-            "notes": list(self.notes),
-            "trace": [
-                {
-                    "t": r.t,
-                    "domain": list(r.domain),
-                    "test_labels": list(r.test_labels),
-                    "boundary_size": r.boundary_size,
-                    "disagreeing": r.disagreeing,
-                    "fractional_pruned": r.fractional_pruned,
-                    "solver_iterations": r.solver_iterations,
-                    "certificate": r.certificate,
-                    "test_energy": r.test_energy,
-                }
-                for r in self.trace
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class CriterionVerdict:
@@ -302,22 +279,15 @@ def check_criterion(
     )
 
 
-def _face_lp_min(lp, face_value: float, extra_obj: np.ndarray) -> float:
-    """Minimize extra_obj over the LP's optimal face {c.z = face_value}."""
-    a = np.vstack([lp.a_eq, lp.c[None, :]])
-    b = np.concatenate([lp.b_eq, [face_value]])
-    res = solve_standard_form(extra_obj, a, b)
-    return res.value
-
-
-def _lp_argmin_unique_at(model: GraphicalModel, x_local, value: float) -> bool:
-    """True when every optimal marginal vector pins delta(x) on all nodes."""
-    lp = build_lp(model)
+def _pinned_on_optimal_face(lp, value: float, pins) -> bool:
+    """True when every optimal point of the LP (objective ``value``) gives
+    each (node, label) pin a marginal of 1."""
     obj = np.zeros(lp.num_vars)
-    for v, l in enumerate(x_local):
+    for v, l in pins:
         obj[lp.node_offset[v] + l] = 1.0
-    got = _face_lp_min(lp, value, obj)
-    return got >= model.num_nodes - 1e-6
+    a = np.vstack([lp.a_eq, lp.c[None, :]])
+    b = np.concatenate([lp.b_eq, [value]])
+    return solve_standard_form(obj, a, b).value >= len(pins) - 1e-6
 
 
 def strong_persistency_scan(
@@ -352,7 +322,7 @@ def strong_persistency_scan(
         res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
         if reference > res.value + CRITERION_TOL * (1.0 + max(abs(reference), abs(res.value))):
             continue
-        if not _lp_argmin_unique_at(aug.model, x_local, res.value):
+        if not _pinned_on_optimal_face(lp, res.value, list(enumerate(x_local))):
             continue
         found.append((subset, x))
         if len(subset) > len(maximal):
@@ -385,11 +355,7 @@ def improving_mapping_check(
     holds = res.value >= -tol
     strict = None
     if holds:
-        obj = np.zeros(lp.num_vars)
-        for v in node_list:
-            obj[lp.node_offset[v] + ys[v]] = 1.0
-        pinned = _face_lp_min(lp, res.value, obj)
-        strict = pinned >= len(node_list) - 1e-6
+        strict = _pinned_on_optimal_face(lp, res.value, [(v, ys[v]) for v in node_list])
     return CriterionVerdict(
         holds=holds,
         optimum=res.value,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .model import GraphicalModel, PartialLabeling
 from .persistency import PersistencyResult
@@ -67,7 +67,7 @@ class RunReport:
             a_star=result.a_star,
             x_star=result.x_star.as_mapping(),
             percentage=persistency_percentage(model, result.a_star),
-            trace=result.to_json_dict()["trace"],
+            trace=[asdict(r) for r in result.trace],
             wall_time_s=wall_time_s,
             notes=result.notes,
             verification=verification,

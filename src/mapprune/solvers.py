@@ -103,17 +103,19 @@ def solve_bruteforce(
     if model.num_nodes == 0:
         return (), 0.0, [()]
 
+    # One pass: keep each chunk's rows within TIE_TOL of the running best,
+    # then filter them against the final best.
     best = math.inf
+    candidates: list[tuple[np.ndarray, list[tuple[int, ...]]]] = []
     for start in range(0, total, _CHUNK):
         block = _labelings_block(model, start, min(start + _CHUNK, total))
         vals = energies_of(model, block)
         best = min(best, float(vals.min()))
-    optima: list[tuple[int, ...]] = []
-    for start in range(0, total, _CHUNK):
-        block = _labelings_block(model, start, min(start + _CHUNK, total))
-        vals = energies_of(model, block)
-        for row in np.flatnonzero(vals <= best + TIE_TOL):
-            optima.append(tuple(int(l) for l in block[row]))
+        keep = vals <= best + TIE_TOL
+        candidates.append((vals[keep], list(map(tuple, block[keep].tolist()))))
+    optima = [
+        rows[i] for vals, rows in candidates for i in np.flatnonzero(vals <= best + TIE_TOL)
+    ]
     return optima[0], best, optima
 
 
@@ -181,7 +183,6 @@ class TrwsState:
     order: tuple[int, ...]
     edges: list[tuple[int, int]]
     messages: dict[tuple[int, int], np.ndarray]
-    reparametrized_unaries: list[np.ndarray] = field(default_factory=list)
     bound_history: list[float] = field(default_factory=list)
     passes: int = 0
     best_labeling: tuple[int, ...] | None = None
@@ -268,15 +269,6 @@ class _TrwsRun:
                 self.msg[(v, w)] = msg - delta
                 lb += delta
         return lb
-
-    def reparametrized(self) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-        unaries = [self._aggregate(v) for v in range(self.model.num_nodes)]
-        edge_res = {}
-        for (u, v) in self.edges:
-            edge_res[(u, v)] = (
-                self.tables[(u, v)] - self.msg[(u, v)][None, :] - self.msg[(v, u)][:, None]
-            )
-        return unaries, edge_res
 
     def extract_labeling(self, unaries) -> tuple[int, ...]:
         """Greedy sequential rounding conditioned on already-fixed neighbors."""
@@ -390,8 +382,6 @@ def solve_trws(
         else:
             best_committed = committed
             stall = 0
-
-    state.reparametrized_unaries = run.reparametrized()[0]
 
     if all(l is not None for l in labels):
         x = tuple(labels)  # type: ignore[arg-type]

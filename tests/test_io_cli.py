@@ -165,6 +165,11 @@ class TestCli:
         assert payload["mode"] == "optimal"
         assert 0.0 <= payload["percentage"] <= 1.0
         assert payload["trace"]
+        keys = [
+            "t", "domain", "test_labels", "boundary_size", "disagreeing",
+            "fractional_pruned", "solver_iterations", "certificate", "test_energy",
+        ]
+        assert all(list(r) == keys for r in payload["trace"])
 
         code = main(["verify", str(report_path), str(model_path)])
         out = capsys.readouterr().out

@@ -50,8 +50,17 @@ class TestBruteforce:
             solve_bruteforce(m, cap=8)
 
     def test_matches_itertools_oracle(self, rng):
-        for _ in range(15):
-            m = random_with_ternary(rng, n_lo=3, n_hi=6)
+        models = [random_with_ternary(rng, n_lo=3, n_hi=6) for _ in range(15)]
+        # 2 * 8**5 * 2 joint states span two enumeration chunks.  Node 0 is
+        # the most significant, so every optimum (x0 = 1) lies in the second
+        # chunk, after the first chunk's best rows, which are 0.25 worse;
+        # nodes 5 and 6 carry no factor, so the 16 optima tie exactly.
+        counts = [2] + [8] * 5 + [2]
+        factors = [Factor((0,), [0.0, -0.25])]
+        factors += [Factor((v,), rng.uniform(0, 1, 8)) for v in range(1, 5)]
+        models.append(GraphicalModel(counts, factors))
+        assert models[-1].joint_space_size() > 1 << 16
+        for m in models:
             want_value, want_optima = enumerate_min(m)
             _, value, optima = solve_bruteforce(m)
             assert abs(value - want_value) <= 1e-9 * (1 + abs(want_value))
