@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLabelingError, StateSpaceCapError
+from .errors import DomainError, InvalidLabelingError
 from .model import GraphicalModel, Labeling, PartialLabeling
-from .solvers import ENUMERATION_CAP, TIE_TOL, _labelings_block, _CHUNK, energies_of, solve_bruteforce
+from .solvers import ENUMERATION_CAP, TIE_TOL, _enumerate, energies_of, solve_bruteforce
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,20 @@ def _validated_subset(model: GraphicalModel, nodes, x: PartialLabeling) -> tuple
     return subset
 
 
+def _agreeing(optima: np.ndarray, subset: tuple[int, ...], x: PartialLabeling) -> np.ndarray:
+    """Per optimum row: does it agree with x on the subset?"""
+    want = np.array([x.label_of(v) for v in subset], dtype=np.int64)
+    return (optima[:, list(subset)] == want).all(axis=1)
+
+
 def verify_persistent(
     model: GraphicalModel, nodes, x: PartialLabeling, cap: int = ENUMERATION_CAP
 ) -> OracleReport:
     """Does some global optimum agree with x on the subset?"""
     subset = _validated_subset(model, nodes, x)
-    _, _, optima = solve_bruteforce(model, cap)
-    for o in optima:
-        if all(o[v] == x.label_of(v) for v in subset):
-            return OracleReport("persistent", True, None, len(optima))
-    return OracleReport("persistent", False, optima[0], len(optima))
+    first, _, optima = solve_bruteforce(model, cap)
+    holds = bool(_agreeing(optima, subset, x).any())
+    return OracleReport("persistent", holds, None if holds else first, len(optima))
 
 
 def verify_strongly_persistent(
@@ -53,10 +57,9 @@ def verify_strongly_persistent(
     """Does every global optimum agree with x on the subset?"""
     subset = _validated_subset(model, nodes, x)
     _, _, optima = solve_bruteforce(model, cap)
-    for o in optima:
-        if any(o[v] != x.label_of(v) for v in subset):
-            return OracleReport("strongly-persistent", False, o, len(optima))
-    return OracleReport("strongly-persistent", True, None, len(optima))
+    failing = np.flatnonzero(~_agreeing(optima, subset, x))
+    witness = tuple(optima[failing[0]].tolist()) if failing.size else None
+    return OracleReport("strongly-persistent", witness is None, witness, len(optima))
 
 
 def verify_improving(
@@ -70,42 +73,30 @@ def verify_improving(
     strictly.  Returns (improving report, strictly-improving report).
     """
     subset = tuple(sorted(set(int(v) for v in nodes)))
+    if not all(0 <= v < model.num_nodes for v in subset):
+        raise DomainError("subset contains invalid node ids")
     ys = model.validate_labeling(y)
-    total = model.joint_space_size()
-    if total > cap:
-        raise StateSpaceCapError(f"state space {total} exceeds cap {cap}")
 
     cols = np.array(subset, dtype=np.int64)
+    target = np.array([ys[v] for v in subset], dtype=np.int64)
     worst = None  # most negative improvement, with witness
     tie_breaker = None  # non-fixed labeling with ~zero improvement
-    for start in range(0, total, _CHUNK):
-        block = _labelings_block(model, start, min(start + _CHUNK, total))
+    for _, block in _enumerate(model, cap):
         mapped = block.copy()
-        if cols.size:
-            mapped[:, cols] = np.array([ys[v] for v in subset], dtype=np.int64)[None, :]
+        mapped[:, cols] = target
         gain = energies_of(model, block) - energies_of(model, mapped)
-        moved = (
-            (block[:, cols] != mapped[:, cols]).any(axis=1)
-            if cols.size
-            else np.zeros(block.shape[0], dtype=bool)
-        )
+        moved = (block[:, cols] != target).any(axis=1)
         i = int(np.argmin(gain))
         if worst is None or gain[i] < worst[0]:
             worst = (float(gain[i]), tuple(int(l) for l in block[i]))
-        near_zero = moved & (gain <= TIE_TOL)
-        if tie_breaker is None and near_zero.any():
-            j = int(np.flatnonzero(near_zero)[0])
-            tie_breaker = tuple(int(l) for l in block[j])
+        near_zero = np.flatnonzero(moved & (gain <= TIE_TOL))
+        if tie_breaker is None and near_zero.size:
+            tie_breaker = tuple(int(l) for l in block[near_zero[0]])
 
     improving = worst[0] >= -TIE_TOL
-    improving_report = OracleReport(
-        "improving", improving, None if improving else worst[1], 0
-    )
     strict = improving and tie_breaker is None
-    strict_report = OracleReport(
-        "strictly-improving",
-        strict,
-        None if strict else (tie_breaker if improving else worst[1]),
-        0,
+    strict_witness = None if strict else (tie_breaker if improving else worst[1])
+    return (
+        OracleReport("improving", improving, None if improving else worst[1], 0),
+        OracleReport("strictly-improving", strict, strict_witness, 0),
     )
-    return improving_report, strict_report

@@ -57,6 +57,11 @@ def _canon_solver(solver: str) -> str:
         raise DomainError(f"unknown solver {solver!r} (use exact-lp, trws or bruteforce)") from None
 
 
+def _not_above(reference: float, value: float, tol: float) -> bool:
+    """One-sided criterion test: reference <= value up to tol (abs + rel)."""
+    return reference <= value + tol * (1.0 + max(abs(reference), abs(value)))
+
+
 def _solve(model: GraphicalModel, solver: str, stop: StopRule | None, cap: int) -> SolverOutput:
     if solver == "exact-lp":
         _, _, out = solve_lp_exact(model)
@@ -254,8 +259,8 @@ def check_criterion(
     reference = energy(aug.model, x0_local)
 
     if solver == "bruteforce":
-        best, value, optima = solve_bruteforce(aug.model, cap)
-        holds = reference <= value + tol * (1.0 + max(abs(reference), abs(value)))
+        best, value, _ = solve_bruteforce(aug.model, cap)
+        holds = _not_above(reference, value, tol)
         witness = aug.to_original_partial(best if not holds else x0_local)
         return CriterionVerdict(
             holds=holds, optimum=value, reference=reference,
@@ -263,7 +268,7 @@ def check_criterion(
         )
     if solver == "exact-lp":
         mu, value, out = solve_lp_exact(aug.model)
-        holds = reference <= value + tol * (1.0 + max(abs(reference), abs(value)))
+        holds = _not_above(reference, value, tol)
         return CriterionVerdict(
             holds=holds, optimum=value, reference=reference,
             witness_labeling=aug.to_original_partial(out.labels) if not holds else x0.restrict(node_list),
@@ -271,7 +276,7 @@ def check_criterion(
         )
     out = solve_trws(aug.model)
     bound = out.objective_bound
-    holds = reference <= bound + tol * (1.0 + max(abs(reference), abs(bound)))
+    holds = _not_above(reference, bound, tol)
     return CriterionVerdict(
         holds=holds, optimum=bound, reference=reference,
         witness_labeling=aug.to_original_partial(out.labels),
@@ -304,11 +309,8 @@ def strong_persistency_scan(
         raise StateSpaceCapError(
             f"scan limited to {max_nodes} nodes, model has {model.num_nodes}"
         )
-    _, _, optima = solve_bruteforce(model, cap)
-    ref = optima[0]
-    agreeing = [
-        v for v in range(model.num_nodes) if all(o[v] == ref[v] for o in optima)
-    ]
+    ref, _, optima = solve_bruteforce(model, cap)
+    agreeing = np.flatnonzero((optima == optima[0]).all(axis=0)).tolist()
 
     found: list[tuple[tuple[int, ...], PartialLabeling]] = [((), PartialLabeling.empty())]
     maximal: tuple[int, ...] = ()
@@ -320,7 +322,7 @@ def strong_persistency_scan(
         reference = energy(aug.model, x_local)
         lp = build_lp(aug.model)
         res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
-        if reference > res.value + CRITERION_TOL * (1.0 + max(abs(reference), abs(res.value))):
+        if not _not_above(reference, res.value, CRITERION_TOL):
             continue
         if not _pinned_on_optimal_face(lp, res.value, list(enumerate(x_local))):
             continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StateSpaceCapError, UnsupportedArityError
-from .model import GraphicalModel, energy
+from .model import GraphicalModel, energies_close, energy
 from .polytope import Marginals, build_lp
 from .simplex import solve_standard_form
 
@@ -63,17 +63,24 @@ class StopRule:
 _CHUNK = 1 << 16
 
 
-def _labelings_block(model: GraphicalModel, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop of the lexicographic labeling enumeration (node 0
-    most significant)."""
-    idx = np.arange(start, stop, dtype=np.int64)
+def _labelings_at(model: GraphicalModel, idx: np.ndarray) -> np.ndarray:
+    """The labelings at the given rows of the lexicographic enumeration (node
+    0 most significant), one per row."""
     out = np.empty((idx.size, model.num_nodes), dtype=np.int64)
-    stride = 1
     for v in range(model.num_nodes - 1, -1, -1):
-        k = model.label_counts[v]
-        out[:, v] = (idx // stride) % k
-        stride *= k
+        idx, out[:, v] = np.divmod(idx, model.label_counts[v])
     return out
+
+
+def _enumerate(model: GraphicalModel, cap: int):
+    """Walk the joint space in lexicographic chunks, yielding each chunk's
+    (row indices, labelings); raises StateSpaceCapError above ``cap``."""
+    total = model.joint_space_size()
+    if total > cap:
+        raise StateSpaceCapError(f"state space {total} exceeds cap {cap}")
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        yield idx, _labelings_at(model, idx)
 
 
 def energies_of(model: GraphicalModel, labelings: np.ndarray) -> np.ndarray:
@@ -91,32 +98,27 @@ def energies_of(model: GraphicalModel, labelings: np.ndarray) -> np.ndarray:
 
 def solve_bruteforce(
     model: GraphicalModel, cap: int = ENUMERATION_CAP
-) -> tuple[tuple[int, ...], float, list[tuple[int, ...]]]:
+) -> tuple[tuple[int, ...], float, np.ndarray]:
     """Exact minimum by enumeration.
 
-    Returns (first optimal labeling in lexicographic order, optimal value,
-    all labelings within TIE_TOL of the optimum, lexicographically sorted).
+    Returns (x, value, optima).  ``value`` is the minimum energy.
+    ``optima`` is an int64 array with one row per labeling within TIE_TOL of
+    ``value``, in lexicographic order, so ``len(optima)`` counts the tied
+    optima.  ``x`` is its first row, as a tuple of ints.
     """
-    total = model.joint_space_size()
-    if total > cap:
-        raise StateSpaceCapError(f"state space {total} exceeds cap {cap}")
-    if model.num_nodes == 0:
-        return (), 0.0, [()]
-
     # One pass: keep each chunk's rows within TIE_TOL of the running best,
     # then filter them against the final best.
     best = math.inf
-    candidates: list[tuple[np.ndarray, list[tuple[int, ...]]]] = []
-    for start in range(0, total, _CHUNK):
-        block = _labelings_block(model, start, min(start + _CHUNK, total))
+    kept_vals, kept_rows = [], []
+    for idx, block in _enumerate(model, cap):
         vals = energies_of(model, block)
         best = min(best, float(vals.min()))
         keep = vals <= best + TIE_TOL
-        candidates.append((vals[keep], list(map(tuple, block[keep].tolist()))))
-    optima = [
-        rows[i] for vals, rows in candidates for i in np.flatnonzero(vals <= best + TIE_TOL)
-    ]
-    return optima[0], best, optima
+        kept_vals.append(vals[keep])
+        kept_rows.append(idx[keep])
+    rows = np.concatenate(kept_rows)[np.concatenate(kept_vals) <= best + TIE_TOL]
+    optima = _labelings_at(model, rows)
+    return tuple(optima[0].tolist()), best, optima
 
 
 def bruteforce_output(model: GraphicalModel, cap: int = ENUMERATION_CAP) -> SolverOutput:
@@ -386,7 +388,7 @@ def solve_trws(
     if all(l is not None for l in labels):
         x = tuple(labels)  # type: ignore[arg-type]
         ex = energy(model, x)
-        if abs(ex - best_bound) > 1e-7 * (1.0 + max(abs(ex), abs(best_bound))):
+        if not energies_close(ex, best_bound, 1e-7):
             # Cannot certify optimality: refuse to commit anything.
             labels = tuple([None] * model.num_nodes)
 

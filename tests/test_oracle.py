@@ -1,6 +1,7 @@
 import pytest
 
 from mapprune import (
+    DomainError,
     Factor,
     GraphicalModel,
     InvalidLabelingError,
@@ -29,6 +30,9 @@ class TestVerifyPersistent:
     def test_chain_first_node(self):
         report = verify_persistent(chain_model(), [0], PartialLabeling((0,), (0,)))
         assert report.verdict
+        # (1, 1) agrees with the second optimum only.
+        report = verify_persistent(chain_model(), [0, 1], PartialLabeling((0, 1), (1, 1)))
+        assert report.verdict and report.num_optima == 2
 
     def test_invalid_label_rejected(self):
         with pytest.raises(InvalidLabelingError):
@@ -79,6 +83,12 @@ class TestVerifyImproving:
         assert not imp.verdict
         assert imp.counterexample == (1,)
         assert not strict.verdict
+
+    def test_invalid_node_ids_rejected(self):
+        # -1 must not be read as the last node, nor 5 fail with IndexError.
+        for nodes in ([-1], [5]):
+            with pytest.raises(DomainError, match="invalid node ids"):
+                verify_improving(chain_model(), nodes, (0, 0))
 
     def test_strictness_detects_ties(self):
         m = GraphicalModel([2], [Factor((0,), [0.0, 0.0])])

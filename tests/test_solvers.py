@@ -31,13 +31,18 @@ class TestBruteforce:
     def test_chain_two_optima(self):
         x, value, optima = solve_bruteforce(chain_model())
         assert value == 1.0
-        assert optima == [(0, 0), (1, 1)]
+        assert [tuple(r) for r in optima.tolist()] == [(0, 0), (1, 1)]
         assert x == (0, 0)
 
     def test_single_node(self):
         m = GraphicalModel([3], [Factor((0,), [3, 1, 2])])
         x, value, optima = solve_bruteforce(m)
-        assert x == (1,) and value == 1.0 and optima == [(1,)]
+        assert x == (1,) and value == 1.0
+        assert [tuple(r) for r in optima.tolist()] == [(1,)]
+        # Zero nodes: one labeling of width 0, carrying the constant factor.
+        m = GraphicalModel([], [Factor((), 5.0)])
+        x, value, optima = solve_bruteforce(m)
+        assert x == () and value == 5.0 and optima.shape == (1, 0)
 
     def test_all_zero(self):
         m = GraphicalModel([2, 2], [Factor((0, 1), np.zeros((2, 2)))])
@@ -64,7 +69,8 @@ class TestBruteforce:
             want_value, want_optima = enumerate_min(m)
             _, value, optima = solve_bruteforce(m)
             assert abs(value - want_value) <= 1e-9 * (1 + abs(want_value))
-            assert optima == want_optima  # lexicographic order included
+            # lexicographic order included
+            assert [tuple(r) for r in optima.tolist()] == want_optima
 
 
 class TestLpExact:
