@@ -86,7 +86,9 @@ class GraphicalModel:
         self.num_nodes = len(counts)
         self.label_counts = counts
 
-        merged: dict[tuple[int, ...], np.ndarray] = {}
+        # A factor whose scope appears once is kept as given (it is immutable);
+        # only merged scopes build a new Factor.
+        merged: dict[tuple[int, ...], Factor] = {}
         for f in factors:
             if f.scope and (f.scope[0] < 0 or f.scope[-1] >= self.num_nodes):
                 raise DomainError(f"factor scope {f.scope} outside node range")
@@ -96,11 +98,9 @@ class GraphicalModel:
                     f"factor over {f.scope}: table shape {f.table.shape} != {expected}"
                 )
             if f.scope in merged:
-                merged[f.scope] = merged[f.scope] + f.table
-            else:
-                merged[f.scope] = f.table
-        ordered = sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        self.factors = tuple(Factor(scope, table) for scope, table in ordered)
+                f = Factor(f.scope, merged[f.scope].table + f.table)
+            merged[f.scope] = f
+        self.factors = tuple(merged[s] for s in sorted(merged, key=lambda s: (len(s), s)))
 
         per_node: list[list[int]] = [[] for _ in range(self.num_nodes)]
         index_of_scope: dict[tuple[int, ...], int] = {}

@@ -14,7 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import AugmentedModel, boundary_sets, build_augmented_model, build_gamma_model
+# boundary_sets is not called here, but stays importable from this module:
+# perfbench/tracing.py wraps it under this module's name.
+from .boundary import AugmentedModel, boundary_sets, build_augmented_model, build_gamma_model  # noqa: F401
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
 from .model import (
     GraphicalModel,
@@ -31,14 +33,11 @@ from .solvers import (
     SolverOutput,
     StopRule,
     bruteforce_output,
-    output_to_marginals,
     solve_bruteforce,
     solve_lp_exact,
     solve_trws,
 )
 
-# A boundary node disagrees when its previous label keeps less than this mass.
-DISAGREEMENT_TOL = 1e-6
 # Energy-equality tolerance for criterion verdicts (absolute + relative).
 CRITERION_TOL = 1e-7
 
@@ -175,17 +174,20 @@ def prune(
         prev_domain = domain
         prev_labels = dict(labels)
         y = PartialLabeling.from_mapping(prev_labels)
-        sets = boundary_sets(work, prev_domain)
         aug = build_augmented_model(work, prev_domain, y, mode="original")
         out = _solve(aug.model, solver, stop, cap)
         if subproblem_hook is not None:
             subproblem_hook(aug, out)
-        mu = output_to_marginals(aug.model, out)
 
+        # A boundary node disagrees when its new output keeps less than all of
+        # its mass on its previous label: a different committed label, or a
+        # fractional output (uniform mass) over more than one label.
         local = aug.local_index()
+        boundary = aug.test_labeling.domain
         disagreeing = []
-        for v in sets.boundary_nodes:
-            if mu.node[local[v]][prev_labels[v]] < 1.0 - DISAGREEMENT_TOL:
+        for v in boundary:
+            l = out.labels[local[v]]
+            if (work.label_counts[v] > 1) if l is None else (l != prev_labels[v]):
                 disagreeing.append(v)
         survivors = []
         new_labels = {}
@@ -203,7 +205,7 @@ def prune(
                 t=t,
                 domain=prev_domain,
                 test_labels=tuple(prev_labels[v] for v in prev_domain),
-                boundary_size=len(sets.boundary_nodes),
+                boundary_size=len(boundary),
                 disagreeing=len(disagreeing),
                 fractional_pruned=sum(1 for v in prev_domain if out.labels[local[v]] is None),
                 solver_iterations=out.iterations,

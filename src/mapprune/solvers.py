@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StateSpaceCapError, UnsupportedArityError
-from .model import GraphicalModel, energies_close, energy
+from .model import Factor, GraphicalModel, energies_close, energy
 from .polytope import Marginals, build_lp
 from .simplex import solve_standard_form
 
@@ -191,6 +191,22 @@ class TrwsState:
     best_energy: float = math.inf
 
 
+def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
+    """Ragged index lists as an int matrix, padded at the tail with ``fill``."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _by_level(level: list[int]) -> list[list[int]]:
+    """Node ids grouped by level, ascending within each group."""
+    groups: list[list[int]] = [[] for _ in range(max(level, default=-1) + 1)]
+    for v, l in enumerate(level):
+        groups[l].append(v)
+    return groups
+
+
 class _TrwsRun:
     """One sequential ascent run over the canonical monotonic chains.
 
@@ -201,136 +217,236 @@ class _TrwsRun:
     normalizes each message to minimum zero and collects the subtracted
     constants, which together with the per-node terms for chains starting at
     v telescope into a valid lower bound on the optimum for any state.
+
+    The state lives in arrays, with labels padded to the largest label count
+    k.  ``tables`` stacks the edge tables as (E, k, k), oriented (u, v) for
+    each edge u < v of ``model.edges()``, and ``unary`` is (n, k); both hold
+    +inf on padded labels.  ``msg`` has one row per directed message: row e
+    carries u->v over v's labels, row E + e carries v->u over u's labels, and
+    the last row is -0.0, which adds exactly nothing and pads ``incoming``,
+    each node's incoming message rows in ascending neighbor order.  Padded
+    message entries stay 0, so aggregates are +inf there and mins skip them.
+
+    A node's forward level is 1 + the highest forward level among its
+    earlier neighbors (0 without any); its backward level mirrors that over
+    later neighbors.  Nodes on one level share no edge and read only messages
+    written on lower levels or by the other sweep, so each level is one
+    batched update that computes, for every node, the same floats in the
+    same order as the node-by-node sweep.
     """
 
     def __init__(self, model: GraphicalModel):
         if not model.is_pairwise:
             raise UnsupportedArityError("message passing supports pairwise models only")
-        self.model = model
         n = model.num_nodes
-        self.unary = [
-            np.array(model.unary_table(v))
-            if model.unary_table(v) is not None
-            else np.zeros(model.label_counts[v])
-            for v in range(n)
-        ]
-        self.edges = model.edges()
-        self.tables = {e: model.factors[model.factor_index(e)].table for e in self.edges}
-        self.nb_fwd: list[list[int]] = [[] for _ in range(n)]
-        self.nb_bwd: list[list[int]] = [[] for _ in range(n)]
-        for (u, v) in self.edges:
-            self.nb_fwd[u].append(v)
-            self.nb_bwd[v].append(u)
+        self.counts = np.array(model.label_counts, dtype=np.int64)
+        k = int(self.counts.max(initial=1))
+        by_arity: tuple[list[Factor], ...] = ([], [], [])
+        for f in model.factors:
+            by_arity[len(f.scope)].append(f)
+        constants, unaries, pairs = by_arity
+        self.valid = np.arange(k) < self.counts[:, None]
+        self.unary = np.where(self.valid, 0.0, np.inf)
+        for f in unaries:
+            self.unary[f.scope[0], : f.table.size] = f.table
+        self.edges = [f.scope for f in pairs]
+        num_edges = len(self.edges)
+        self.eu = np.array([u for u, _ in self.edges], dtype=np.int64)
+        self.ev = np.array([v for _, v in self.edges], dtype=np.int64)
+        self.tables = np.full((num_edges, k, k), np.inf)
+        for e, f in enumerate(pairs):
+            self.tables[e, : f.table.shape[0], : f.table.shape[1]] = f.table
+        self.msg = np.zeros((2 * num_edges + 1, k))
+        self.msg[-1] = -0.0
+        self.fwd = self.msg[:num_edges]
+        self.bwd = self.msg[num_edges : 2 * num_edges]
+
+        later: list[list[int]] = [[] for _ in range(n)]  # edge ids to later neighbors
+        earlier: list[list[int]] = [[] for _ in range(n)]  # edge ids from earlier ones
+        for e, (u, v) in enumerate(self.edges):
+            later[u].append(e)
+            earlier[v].append(e)
+        self.incoming = _padded(
+            [earlier[v] + [num_edges + e for e in later[v]] for v in range(n)], 2 * num_edges
+        )
+        self.degree = np.array([len(earlier[v]) + len(later[v]) for v in range(n)], dtype=np.int64)
+        weight = [max(len(later[v]), len(earlier[v]), 1) for v in range(n)]
+        self.weight = np.array(weight, dtype=np.float64)[:, None]
+
+        forward_level = [0] * n
         for v in range(n):
-            self.nb_fwd[v].sort()
-            self.nb_bwd[v].sort()
-        self.weight = [
-            max(len(self.nb_fwd[v]), len(self.nb_bwd[v]), 1) for v in range(n)
-        ]
-        self.msg: dict[tuple[int, int], np.ndarray] = {}
-        for (u, v) in self.edges:
-            self.msg[(u, v)] = np.zeros(model.label_counts[v])
-            self.msg[(v, u)] = np.zeros(model.label_counts[u])
+            forward_level[v] = 1 + max((forward_level[self.edges[e][0]] for e in earlier[v]), default=-1)
+        backward_level = [0] * n
+        for v in range(n - 1, -1, -1):
+            backward_level[v] = 1 + max((backward_level[self.edges[e][1]] for e in later[v]), default=-1)
 
-    def _edge_table(self, u: int, v: int) -> np.ndarray:
-        """Table of edge {u,v} oriented so axis 0 is u."""
-        if (u, v) in self.tables:
-            return self.tables[(u, v)]
-        return self.tables[(v, u)].T
+        forward_groups = _by_level(forward_level)
+        self.forward_levels = []
+        for nodes in forward_groups:
+            senders = [v for v in nodes if later[v]]
+            if senders:
+                edges = [e for v in senders for e in later[v]]
+                pos = [i for i, v in enumerate(senders) for _ in later[v]]
+                self.forward_levels.append(self._batch(senders, edges, pos, self.tables, self.ev))
 
-    def _aggregate(self, v: int) -> np.ndarray:
-        d = self.unary[v].copy()
-        for u in self.nb_bwd[v]:
-            d += self.msg[(u, v)]
-        for u in self.nb_fwd[v]:
-            d += self.msg[(u, v)]
+        # The bound's terms in node-by-node order: v from last to first, the
+        # term of the chains starting at v, then one constant per earlier
+        # neighbor.  Slot 0 holds the 0.0 the sum starts from.
+        start_slot: dict[int, int] = {}
+        edge_slot = [0] * num_edges
+        slot = 1
+        for v in range(n - 1, -1, -1):
+            if weight[v] > len(earlier[v]):
+                start_slot[v] = slot
+                slot += 1
+            for e in earlier[v]:
+                edge_slot[e] = slot
+                slot += 1
+        self.terms = np.zeros(slot)
+        tables_t = self.tables.transpose(0, 2, 1).copy()
+        self.backward_levels = []
+        for nodes in _by_level(backward_level):
+            edges = [e for v in nodes for e in earlier[v]]
+            pos = [i for i, v in enumerate(nodes) for _ in earlier[v]]
+            starts = [i for i, v in enumerate(nodes) if v in start_slot]
+            self.backward_levels.append((
+                self._batch(nodes, edges, pos, tables_t, self.eu),
+                np.array(starts, dtype=np.int64),
+                np.array([weight[nodes[i]] - len(earlier[nodes[i]]) for i in starts], dtype=np.float64),
+                np.array([start_slot[nodes[i]] for i in starts], dtype=np.int64),
+                np.array([edge_slot[e] for e in edges], dtype=np.int64),
+            ))
+
+        self.rounding_levels = []
+        for nodes in forward_groups:
+            edges = [e for v in nodes for e in earlier[v]]
+            rows, first = [], 0
+            for v in nodes:
+                rows.append(list(range(first, first + len(earlier[v]))))
+                first += len(earlier[v])
+            edges_arr = np.array(edges, dtype=np.int64)
+            self.rounding_levels.append(
+                (np.array(nodes, dtype=np.int64), edges_arr, self.eu[edges_arr], _padded(rows, len(edges)))
+            )
+
+        # energy(model, x) sums from 0.0 over the factors in stored order:
+        # the constant, then the unaries by node, then the edges.
+        self.energy_head = np.array([0.0] + [float(f.table) for f in constants])
+        self.unary_nodes = np.array([f.scope[0] for f in unaries], dtype=np.int64)
+
+    def _batch(self, nodes, edges, pos, tables, receivers):
+        """One level's gathered constants: the nodes' unaries, incoming rows
+        and weights; its edges, each edge's sender position among the nodes,
+        the edges' tables oriented sender first, and the receivers' labels."""
+        nodes = np.array(nodes, dtype=np.int64)
+        edges = np.array(edges, dtype=np.int64)
+        width = int(self.degree[nodes].max(initial=0))
+        return (
+            self.unary[nodes],
+            self.incoming[nodes, :width],
+            self.weight[nodes],
+            edges,
+            np.array(pos, dtype=np.int64),
+            tables[edges],
+            self.valid[receivers[edges]],
+        )
+
+    def _aggregate(self, unary: np.ndarray, incoming: np.ndarray) -> np.ndarray:
+        d = unary
+        for rows in incoming.T:
+            d = d + self.msg[rows]
         return d
 
+    def aggregates(self) -> np.ndarray:
+        """Every node's unary plus its incoming messages, as (n, k)."""
+        return self._aggregate(self.unary, self.incoming)
+
     def forward_sweep(self) -> None:
-        for v in range(self.model.num_nodes):
-            if not self.nb_fwd[v]:
-                continue
-            d = self._aggregate(v) / self.weight[v]
-            for w in self.nb_fwd[v]:
-                t = d - self.msg[(w, v)]
-                self.msg[(v, w)] = (t[:, None] + self._edge_table(v, w)).min(axis=0)
+        for unary, incoming, weight, edges, pos, tables, receiver_labels in self.forward_levels:
+            d = self._aggregate(unary, incoming) / weight
+            t = d[pos] - self.bwd[edges]
+            new = (t[:, :, None] + tables).min(axis=1)
+            self.fwd[edges] = np.where(receiver_labels, new, 0.0)
 
     def backward_sweep(self) -> float:
         """Update messages to earlier neighbors; returns the dual bound."""
-        lb = 0.0
-        for v in range(self.model.num_nodes - 1, -1, -1):
-            nv = self.weight[v]
-            d = self._aggregate(v) / nv
-            starting = nv - len(self.nb_bwd[v])
-            if starting:
-                lb += starting * float(d.min())
-            for w in self.nb_bwd[v]:
-                t = d - self.msg[(w, v)]
-                msg = (t[:, None] + self._edge_table(v, w)).min(axis=0)
-                delta = float(msg.min())
-                self.msg[(v, w)] = msg - delta
-                lb += delta
-        return lb
+        terms = self.terms
+        for level, starts, chains, start_slots, edge_slots in self.backward_levels:
+            unary, incoming, weight, edges, pos, tables, receiver_labels = level
+            d = self._aggregate(unary, incoming) / weight
+            terms[start_slots] = chains * d[starts].min(axis=1)
+            t = d[pos] - self.fwd[edges]
+            new = (t[:, :, None] + tables).min(axis=1)
+            delta = new.min(axis=1)
+            self.bwd[edges] = np.where(receiver_labels, new - delta[:, None], 0.0)
+            terms[edge_slots] = delta
+        return float(np.cumsum(terms)[-1])
 
-    def extract_labeling(self, unaries) -> tuple[int, ...]:
-        """Greedy sequential rounding conditioned on already-fixed neighbors."""
-        labels = [0] * self.model.num_nodes
-        for v in range(self.model.num_nodes):
-            score = unaries[v].copy()
-            for u in self.nb_bwd[v]:
-                score = score + self._edge_residual(u, v)[labels[u], :]
-            labels[v] = int(np.argmin(score))
-        return tuple(labels)
+    def extract_labeling(self, unaries: np.ndarray) -> np.ndarray:
+        """Greedy sequential rounding conditioned on already-fixed neighbors,
+        one forward level at a time."""
+        x = np.zeros(len(unaries), dtype=np.int64)
+        pad = np.full((1, unaries.shape[1]), -0.0)
+        for nodes, edges, senders, rows in self.rounding_levels:
+            lu = x[senders]
+            residual = (self.tables[edges, lu, :] - self.fwd[edges]) - self.bwd[edges, lu][:, None]
+            residual = np.concatenate((residual, pad))
+            score = unaries[nodes]
+            for r in rows.T:
+                score = score + residual[r]
+            x[nodes] = score.argmin(axis=1)
+        return x
 
-    def _edge_residual(self, u: int, v: int) -> np.ndarray:
-        table = self._edge_table(u, v)
-        return table - self.msg[(u, v)][None, :] - self.msg[(v, u)][:, None]
+    def energy(self, x: np.ndarray) -> float:
+        """energy(model, x), with the same sum in the same order."""
+        terms = np.concatenate((
+            self.energy_head,
+            self.unary[self.unary_nodes, x[self.unary_nodes]],
+            self.tables[np.arange(len(self.edges)), x[self.eu], x[self.ev]],
+        ))
+        return float(np.cumsum(terms)[-1])
 
-    def pair_min_marginal(self, u: int, v: int, unaries) -> np.ndarray:
-        """Min-marginal of the chain subproblem owning edge {u,v} over the
-        pair's labels: t_u(x_u) + theta_uv(x_u,x_v) + t_v(x_v) with
-        t_w = D_w/n_w minus the message arriving across this edge."""
-        t_u = unaries[u] / self.weight[u] - self.msg[(v, u)]
-        t_v = unaries[v] / self.weight[v] - self.msg[(u, v)]
-        return t_u[:, None] + self._edge_table(u, v) + t_v[None, :]
-
-    def commitments(self, unaries) -> tuple[int | None, ...]:
+    def commitments(self, unaries: np.ndarray) -> tuple[int | None, ...]:
         """Committed labels under the strong-agreement rule.
 
         A node commits when its averaged min-marginal has a unique argmin
         (margin AGREEMENT_MARGIN) and every incident edge's chain subproblem
         attains its minimum at the committed pair (or, against a fractional
-        neighbor, somewhere in the committed label's slice).
+        neighbor, somewhere in the committed label's slice).  The chain
+        subproblem owning edge {u,v} has the pair min-marginal
+        t_u(x_u) + theta_uv(x_u,x_v) + t_v(x_v), with t_w = D_w/n_w minus the
+        message arriving across this edge.
         """
-        n = self.model.num_nodes
-        cand: list[int | None] = []
-        for v in range(n):
-            d = unaries[v]
-            if d.size == 1:
-                cand.append(0)
-                continue
-            order = np.argsort(d, kind="stable")
-            if d[order[1]] - d[order[0]] > AGREEMENT_MARGIN:
-                cand.append(int(order[0]))
-            else:
-                cand.append(None)
-        ok = list(cand)
-        for (u, v) in self.edges:
-            m = self.pair_min_marginal(u, v, unaries)
-            lo = float(m.min())
-            slack = 1e-7 * (1.0 + abs(lo))
-            cu, cv = cand[u], cand[v]
-            if cu is not None and cv is not None:
-                if m[cu, cv] > lo + slack:
-                    ok[u] = None
-                    ok[v] = None
-            elif cu is not None:
-                if m[cu, :].min() > lo + slack:
-                    ok[u] = None
-            elif cv is not None:
-                if m[:, cv].min() > lo + slack:
-                    ok[v] = None
-        return tuple(ok)
+        # The runner-up is the minimum left after masking the first argmin;
+        # on a 1-label node only +inf padding is left, so it always commits.
+        nodes = np.arange(unaries.shape[0])
+        first = unaries.argmin(axis=1)
+        rest = unaries.copy()
+        rest[nodes, first] = np.inf
+        ok = rest.min(axis=1) - unaries[nodes, first] > AGREEMENT_MARGIN
+        cand = np.where(ok, first, -1)
+
+        eu, ev = self.eu, self.ev
+        t_u = unaries[eu] / self.weight[eu] - self.bwd
+        t_v = unaries[ev] / self.weight[ev] - self.fwd
+        m = t_u[:, :, None] + self.tables + t_v[:, None, :]
+        lo = m.min(axis=(1, 2))
+        high = lo + 1e-7 * (1.0 + np.abs(lo))
+        cu, cv = cand[eu], cand[ev]
+        e = np.arange(len(eu))
+        iu, iv = np.maximum(cu, 0), np.maximum(cv, 0)
+        pair_off = m[e, iu, iv] > high
+        ok[eu[(cu >= 0) & np.where(cv >= 0, pair_off, m[e, iu, :].min(axis=1) > high)]] = False
+        ok[ev[(cv >= 0) & np.where(cu >= 0, pair_off, m[e, :, iv].min(axis=1) > high)]] = False
+        return tuple(l if c else None for l, c in zip(first.tolist(), ok.tolist()))
+
+    def messages(self) -> dict[tuple[int, int], np.ndarray]:
+        """The current messages keyed (sender, receiver), over the receiver's labels."""
+        out = {}
+        for e, (u, v) in enumerate(self.edges):
+            out[(u, v)] = self.fwd[e, : self.counts[v]].copy()
+            out[(v, u)] = self.bwd[e, : self.counts[u]].copy()
+        return out
 
 
 def solve_trws(
@@ -346,9 +462,7 @@ def solve_trws(
     """
     stop = stop or StopRule()
     run = _TrwsRun(model)
-    state = TrwsState(
-        order=tuple(range(model.num_nodes)), edges=run.edges, messages=run.msg
-    )
+    state = TrwsState(order=tuple(range(model.num_nodes)), edges=run.edges, messages={})
 
     best_bound = -math.inf
     best_committed = -1
@@ -358,16 +472,16 @@ def solve_trws(
     for p in range(1, stop.max_passes + 1):
         run.forward_sweep()
         lb = run.backward_sweep()
-        unaries = [run._aggregate(v) for v in range(model.num_nodes)]
+        unaries = run.aggregates()
         best_bound = max(best_bound, lb)
         state.bound_history.append(lb)
         state.passes = p
 
         x = run.extract_labeling(unaries)
-        ex = energy(model, x)
+        ex = run.energy(x)
         if ex < state.best_energy:
             state.best_energy = ex
-            state.best_labeling = x
+            state.best_labeling = tuple(x.tolist())
 
         labels = run.commitments(unaries)
         committed = sum(1 for l in labels if l is not None)
@@ -398,4 +512,7 @@ def solve_trws(
         certificate="tree-agreement",
         iterations=state.passes,
     )
-    return (out, state) if return_state else out
+    if not return_state:
+        return out
+    state.messages = run.messages()
+    return out, state

@@ -1,7 +1,8 @@
 """Reader/writer for the UAI Markov-network text format.
 
 Tables are read verbatim as costs by default; with values="probability"
-entries are mapped through -log (zeros capped).  Scopes may appear in any
+entries are mapped through -log, and zero probabilities become a per-model
+big-M cost (see ``_probability_costs``).  Scopes may appear in any
 node order in the file; tables are permuted onto the sorted scope used
 internally, and duplicate scopes merge by addition.
 """
@@ -14,10 +15,6 @@ import numpy as np
 
 from .errors import UaiParseError
 from .model import Factor, GraphicalModel
-
-# Cost assigned to probability entries <= 0 under values="probability".
-LOG_ZERO_COST = 1e20
-
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     out = []
@@ -64,7 +61,7 @@ class _TokenStream:
 
 def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
     """Parse UAI text into a model.  values: "cost" (verbatim) or
-    "probability" (-log with zeros capped at LOG_ZERO_COST)."""
+    "probability" (-log, with a per-model big-M for zero probabilities)."""
     if values not in ("cost", "probability"):
         raise UaiParseError(f"unknown values mode {values!r}")
     ts = _TokenStream(text)
@@ -101,7 +98,7 @@ def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
             raise UaiParseError(f"factor {i} repeats a variable in its scope")
         scopes.append(scope)
 
-    factors: list[Factor] = []
+    tables: list[np.ndarray] = []
     for i, scope in enumerate(scopes):
         count = ts.next_int(f"table size of factor {i}")
         expected = math.prod(cards[v] for v in scope)
@@ -113,18 +110,48 @@ def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
             vals = [ts.next_float(f"table entry of factor {i}") for _ in range(count)]
         except UaiParseError as e:
             raise UaiParseError(f"truncated table for factor {i}: {e}") from None
-        arr = np.array(vals).reshape([cards[v] for v in scope])
-        if values == "probability":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                arr = np.where(arr > 0.0, -np.log(np.maximum(arr, 1e-300)), LOG_ZERO_COST)
-        order = sorted(range(len(scope)), key=lambda p: scope[p])
-        arr = np.transpose(arr, order)
-        factors.append(Factor(tuple(sorted(scope)), arr))
+        tables.append(np.array(vals).reshape([cards[v] for v in scope]))
 
     if not ts.exhausted:
         tok, ln = ts.next("end of input")
         raise UaiParseError(f"trailing content {tok!r}", ln)
+    if values == "probability":
+        tables = _probability_costs(tables)
+    factors = []
+    for scope, arr in zip(scopes, tables):
+        order = sorted(range(len(scope)), key=lambda p: scope[p])
+        factors.append(Factor(tuple(sorted(scope)), np.transpose(arr, order)))
     return GraphicalModel(cards, factors)
+
+
+def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:
+    """-log of each positive entry; entries <= 0 are forbidden and get a big-M.
+
+    A forbidden entry of factor g costs g's largest finite cost plus the sum
+    over all factors of their finite spreads (max - min), plus a margin.  A
+    labeling that uses it then costs at least the margin more than any
+    labeling that uses no forbidden entry, whatever the other factors add.
+    The margin is 1 plus 1e-6 of the summed largest finite magnitudes, which
+    bounds every feasible energy, so it exceeds the relative energy
+    tolerances (at most 1e-7) at that scale.  The costs stay near the scale
+    of the finite ones, where float64 keeps unit-scale differences exact
+    enough for every solver and criterion.
+    """
+    costs, allowed = [], []
+    for i, arr in enumerate(tables):
+        ok = arr > 0.0
+        if not ok.any():
+            raise UaiParseError(
+                f"factor {i} gives every entry probability zero, so no labeling is feasible"
+            )
+        costs.append(-np.log(np.maximum(arr, 1e-300)))
+        allowed.append(ok)
+    spread = sum(float(c[ok].max() - c[ok].min()) for c, ok in zip(costs, allowed))
+    scale = sum(float(np.abs(c[ok]).max()) for c, ok in zip(costs, allowed))
+    margin = 1.0 + 1e-6 * scale
+    return [
+        np.where(ok, c, float(c[ok].max()) + spread + margin) for c, ok in zip(costs, allowed)
+    ]
 
 
 def write_uai(model: GraphicalModel) -> str:

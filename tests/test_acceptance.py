@@ -25,7 +25,9 @@ from mapprune import (
     solve_lp_exact,
     solve_trws,
     strong_persistency_scan,
+    parse_uai,
     verify_persistent,
+    write_uai,
 )
 from mapprune.cli import main as cli_main
 
@@ -316,3 +318,57 @@ def test_criterion_10_bench_determinism(tmp_path):
     rows = out_a.read_text().splitlines()
     assert len(rows) == 9
     print("criterion 10 PASS: benchmark CSV byte-identical across runs")
+
+
+def hard_constraint_instance(rng: np.random.Generator) -> str:
+    """UAI text of probabilities exp(-cost) over 4-8 ternary nodes, with one
+    zero entry in every edge table (a forbidden label pair)."""
+    base = generate(InstanceSpec(
+        kind="random-pairwise", num_nodes=int(rng.integers(4, 9)), labels=3,
+        coupling=(0.0, 1.0), noise=(0.0, 1.0), seed=int(rng.integers(0, 2**63)),
+        edge_probability=0.4,
+    ))
+    factors = []
+    for f in base.factors:
+        table = np.exp(-f.table)
+        if f.arity == 2:
+            table.flat[int(rng.integers(table.size))] = 0.0
+        factors.append(Factor(f.scope, table))
+    return write_uai(GraphicalModel(base.label_counts, factors))
+
+
+def test_hard_constraints_sound(tmp_path, capsys):
+    """Zero probabilities: every forbidden labeling costs more than every
+    feasible one, and every solver and mode stays sound on them, through the
+    library and through `prune --values probability --verify`."""
+    rng = np.random.default_rng(707)
+    runs = 0
+    for i in range(10):
+        text = hard_constraint_instance(rng)
+        m = parse_uai(text, values="probability")
+        path = tmp_path / f"hard{i}.uai"
+        path.write_text(text)
+
+        # every labeling that uses a zero entry costs at least 1 more than any that uses none
+        raw = parse_uai(text)  # the probabilities, read verbatim
+        labelings = list(np.ndindex(*m.label_counts))
+        costs = np.array([energy(m, x) for x in labelings])
+        forbidden = np.array([
+            any(f.table[tuple(x[v] for v in f.scope)] <= 0.0 for f in raw.factors)
+            for x in labelings
+        ])
+        assert forbidden.any() and not forbidden.all()
+        assert costs[forbidden].min() >= costs[~forbidden].max() + 1.0
+
+        for solver in ("lp", "trws", "bruteforce"):
+            for mode in ("original", "optimal"):
+                res = prune(m, solver=solver, mode=mode)
+                assert verify_persistent(m, res.a_star, res.x_star).verdict, (i, solver, mode)
+                code = cli_main([
+                    "prune", str(path), "--values", "probability", "--solver", solver,
+                    "--mode", mode, "--verify", "--out", str(tmp_path / f"hard{i}.json"),
+                ])
+                assert code == 0, (i, solver, mode)
+                runs += 1
+    capsys.readouterr()
+    print(f"hard constraints PASS: {runs} library and {runs} CLI runs sound")

@@ -58,7 +58,12 @@ class TestParseUai:
     def test_probability_mode(self):
         m = parse_uai("MARKOV\n1\n2\n1\n1 0\n\n2\n 1 0\n", values="probability")
         assert m.factors[0].table[0] == 0.0
-        assert m.factors[0].table[1] >= 1e19
+        # the forbidden label costs at least 1 more than every feasible labeling
+        assert m.factors[0].table[1] >= m.factors[0].table[0] + 1.0
+
+    def test_probability_mode_rejects_all_zero_factor(self):
+        with pytest.raises(UaiParseError, match="no labeling is feasible"):
+            parse_uai("MARKOV\n1\n2\n1\n1 0\n\n2\n 0 0\n", values="probability")
 
     def test_table_count_mismatch(self):
         text = "MARKOV\n1\n2\n1\n1 0\n\n3\n 1 2 3\n"
