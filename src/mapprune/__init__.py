@@ -62,8 +62,6 @@ from .reporting import RunReport, persistency_percentage
 from .solvers import (
     SolverOutput,
     StopRule,
-    TrwsState,
-    output_to_marginals,
     solve_bruteforce,
     solve_lp_exact,
     solve_trws,
@@ -92,7 +90,6 @@ __all__ = [
     "SolverOutput",
     "StateSpaceCapError",
     "StopRule",
-    "TrwsState",
     "UaiParseError",
     "UnsupportedArityError",
     "apply_reparametrization",
@@ -113,7 +110,6 @@ __all__ = [
     "is_feasible",
     "linear_energy",
     "optimal_reparametrization",
-    "output_to_marginals",
     "parse_uai",
     "persistency_percentage",
     "prune",

@@ -113,9 +113,6 @@ class GraphicalModel:
 
     # -- basic structure -------------------------------------------------
 
-    def factors_of_node(self, v: int) -> tuple[int, ...]:
-        return self._factors_of_node[v]
-
     def factor_index(self, scope: Sequence[int]) -> int | None:
         return self._index_of_scope.get(tuple(scope))
 
@@ -353,7 +350,9 @@ def apply_reparametrization(model: GraphicalModel, phi: Reparametrization) -> Gr
 
     seen_unary = set()
     for f in model.factors:
-        if f.arity == 1:
+        if f.arity == 0:
+            new_factors.append(f)
+        elif f.arity == 1:
             v = f.scope[0]
             seen_unary.add(v)
             table = f.table - incoming.get(v, 0.0)

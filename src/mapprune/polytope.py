@@ -191,9 +191,12 @@ def build_lp(model: GraphicalModel) -> PolytopeLP:
             off += f.table.size
     num_vars = off
 
+    # A constant lands on node 0's block, which sums to 1 on the polytope.
     c = np.zeros(num_vars)
     for i, f in enumerate(model.factors):
-        if f.arity == 1:
+        if f.arity == 0:
+            c[: model.label_counts[0]] += f.table
+        elif f.arity == 1:
             v = f.scope[0]
             c[node_offset[v] : node_offset[v] + model.label_counts[v]] += f.table
         else:

@@ -8,11 +8,11 @@ every node, the committed labeling is a global optimum of the energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateSpaceCapError, UnsupportedArityError
+from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
 from .model import Factor, GraphicalModel, energies_close, energy
 from .polytope import Marginals, build_lp
 from .simplex import solve_standard_form
@@ -29,12 +29,22 @@ AGREEMENT_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class SolverOutput:
-    """Per-node committed labels (None = fractional "#") plus a bound."""
+    """Per-node committed labels (None = fractional "#") plus a bound.
+
+    ``stop`` says why the solve ended: "exact" for the exact solvers, else
+    the message-passing rule that ended its loop ("agreement", "gap",
+    "stall" or "max_passes").  ``bound_history`` is the bound after each
+    pass (empty for the exact solvers), and ``best_energy`` the lowest
+    energy of a labeling the solver found (None for exact-lp).
+    """
 
     labels: tuple[int | None, ...]
     objective_bound: float
     certificate: str  # "exact-ilp" | "exact-lp" | "tree-agreement"
     iterations: int
+    stop: str = "exact"
+    bound_history: tuple[float, ...] = ()
+    best_energy: float | None = None
 
     @property
     def committed_nodes(self) -> tuple[int, ...]:
@@ -55,7 +65,10 @@ class StopRule:
     gap_tol: float = 1e-5
     stall_passes: int = 100
     max_passes: int = 1500
-    stop_on_agreement: bool = True
+
+    def __post_init__(self):
+        if self.max_passes < 1:
+            raise DomainError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
 # -- exhaustive enumeration ------------------------------------------------
@@ -125,7 +138,8 @@ def bruteforce_output(model: GraphicalModel, cap: int = ENUMERATION_CAP) -> Solv
     """The enumeration oracle wrapped as an integrally correct solver."""
     x, value, _ = solve_bruteforce(model, cap)
     return SolverOutput(
-        labels=tuple(x), objective_bound=value, certificate="exact-ilp", iterations=1
+        labels=tuple(x), objective_bound=value, certificate="exact-ilp", iterations=1,
+        best_energy=value,
     )
 
 
@@ -151,44 +165,7 @@ def solve_lp_exact(model: GraphicalModel) -> tuple[Marginals, float, SolverOutpu
     return mu, res.value, out
 
 
-def output_to_marginals(model: GraphicalModel, out: SolverOutput) -> Marginals:
-    """Marginals induced by a solver output: indicator rows for committed
-    nodes, uniform rows for fractional ones, product tables for factors."""
-    node = []
-    for v in range(model.num_nodes):
-        k = model.label_counts[v]
-        l = out.labels[v]
-        if l is None:
-            node.append(np.full(k, 1.0 / k))
-        else:
-            vec = np.zeros(k)
-            vec[l] = 1.0
-            node.append(vec)
-    factor = {}
-    for i, f in enumerate(model.factors):
-        if f.arity < 2:
-            continue
-        tab = node[f.scope[0]]
-        for v in f.scope[1:]:
-            tab = np.multiply.outer(tab, node[v])
-        factor[i] = tab
-    return Marginals(tuple(node), factor)
-
-
 # -- sequential dual block-coordinate ascent --------------------------------
-
-
-@dataclass
-class TrwsState:
-    """Internal state of the message-passing solver, exposed for inspection."""
-
-    order: tuple[int, ...]
-    edges: list[tuple[int, int]]
-    messages: dict[tuple[int, int], np.ndarray]
-    bound_history: list[float] = field(default_factory=list)
-    passes: int = 0
-    best_labeling: tuple[int, ...] | None = None
-    best_energy: float = math.inf
 
 
 def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
@@ -239,20 +216,20 @@ class _TrwsRun:
         if not model.is_pairwise:
             raise UnsupportedArityError("message passing supports pairwise models only")
         n = model.num_nodes
-        self.counts = np.array(model.label_counts, dtype=np.int64)
-        k = int(self.counts.max(initial=1))
+        counts = np.array(model.label_counts, dtype=np.int64)
+        k = int(counts.max(initial=1))
         by_arity: tuple[list[Factor], ...] = ([], [], [])
         for f in model.factors:
             by_arity[len(f.scope)].append(f)
         constants, unaries, pairs = by_arity
-        self.valid = np.arange(k) < self.counts[:, None]
+        self.valid = np.arange(k) < counts[:, None]
         self.unary = np.where(self.valid, 0.0, np.inf)
         for f in unaries:
             self.unary[f.scope[0], : f.table.size] = f.table
-        self.edges = [f.scope for f in pairs]
-        num_edges = len(self.edges)
-        self.eu = np.array([u for u, _ in self.edges], dtype=np.int64)
-        self.ev = np.array([v for _, v in self.edges], dtype=np.int64)
+        edges = [f.scope for f in pairs]
+        num_edges = len(edges)
+        self.eu = np.array([u for u, _ in edges], dtype=np.int64)
+        self.ev = np.array([v for _, v in edges], dtype=np.int64)
         self.tables = np.full((num_edges, k, k), np.inf)
         for e, f in enumerate(pairs):
             self.tables[e, : f.table.shape[0], : f.table.shape[1]] = f.table
@@ -263,7 +240,7 @@ class _TrwsRun:
 
         later: list[list[int]] = [[] for _ in range(n)]  # edge ids to later neighbors
         earlier: list[list[int]] = [[] for _ in range(n)]  # edge ids from earlier ones
-        for e, (u, v) in enumerate(self.edges):
+        for e, (u, v) in enumerate(edges):
             later[u].append(e)
             earlier[v].append(e)
         self.incoming = _padded(
@@ -275,10 +252,10 @@ class _TrwsRun:
 
         forward_level = [0] * n
         for v in range(n):
-            forward_level[v] = 1 + max((forward_level[self.edges[e][0]] for e in earlier[v]), default=-1)
+            forward_level[v] = 1 + max((forward_level[edges[e][0]] for e in earlier[v]), default=-1)
         backward_level = [0] * n
         for v in range(n - 1, -1, -1):
-            backward_level[v] = 1 + max((backward_level[self.edges[e][1]] for e in later[v]), default=-1)
+            backward_level[v] = 1 + max((backward_level[edges[e][1]] for e in later[v]), default=-1)
 
         forward_groups = _by_level(forward_level)
         self.forward_levels = []
@@ -291,7 +268,8 @@ class _TrwsRun:
 
         # The bound's terms in node-by-node order: v from last to first, the
         # term of the chains starting at v, then one constant per earlier
-        # neighbor.  Slot 0 holds the 0.0 the sum starts from.
+        # neighbor.  Slot 0 holds the constant factors, which no sweep
+        # writes (0.0 without any).
         start_slot: dict[int, int] = {}
         edge_slot = [0] * num_edges
         slot = 1
@@ -303,6 +281,7 @@ class _TrwsRun:
                 edge_slot[e] = slot
                 slot += 1
         self.terms = np.zeros(slot)
+        self.terms[0] = sum(float(f.table) for f in constants)
         tables_t = self.tables.transpose(0, 2, 1).copy()
         self.backward_levels = []
         for nodes in _by_level(backward_level):
@@ -402,7 +381,7 @@ class _TrwsRun:
         terms = np.concatenate((
             self.energy_head,
             self.unary[self.unary_nodes, x[self.unary_nodes]],
-            self.tables[np.arange(len(self.edges)), x[self.eu], x[self.ev]],
+            self.tables[np.arange(len(self.eu)), x[self.eu], x[self.ev]],
         ))
         return float(np.cumsum(terms)[-1])
 
@@ -440,21 +419,8 @@ class _TrwsRun:
         ok[ev[(cv >= 0) & np.where(cu >= 0, pair_off, m[e, :, iv].min(axis=1) > high)]] = False
         return tuple(l if c else None for l, c in zip(first.tolist(), ok.tolist()))
 
-    def messages(self) -> dict[tuple[int, int], np.ndarray]:
-        """The current messages keyed (sender, receiver), over the receiver's labels."""
-        out = {}
-        for e, (u, v) in enumerate(self.edges):
-            out[(u, v)] = self.fwd[e, : self.counts[v]].copy()
-            out[(v, u)] = self.bwd[e, : self.counts[u]].copy()
-        return out
 
-
-def solve_trws(
-    model: GraphicalModel,
-    stop: StopRule | None = None,
-    *,
-    return_state: bool = False,
-) -> SolverOutput | tuple[SolverOutput, TrwsState]:
+def solve_trws(model: GraphicalModel, stop: StopRule | None = None) -> SolverOutput:
     """Sequential dual block-coordinate ascent over the node-id order.
 
     Commits nodes with strong agreement; if every node commits, the labeling
@@ -462,38 +428,36 @@ def solve_trws(
     """
     stop = stop or StopRule()
     run = _TrwsRun(model)
-    state = TrwsState(order=tuple(range(model.num_nodes)), edges=run.edges, messages={})
 
     best_bound = -math.inf
+    best_energy = math.inf
     best_committed = -1
     stall = 0
-    labels: tuple[int | None, ...] = tuple([None] * model.num_nodes)
+    history: list[float] = []
+    reason = "max_passes"
 
-    for p in range(1, stop.max_passes + 1):
+    for _ in range(stop.max_passes):
         run.forward_sweep()
         lb = run.backward_sweep()
         unaries = run.aggregates()
         best_bound = max(best_bound, lb)
-        state.bound_history.append(lb)
-        state.passes = p
-
-        x = run.extract_labeling(unaries)
-        ex = run.energy(x)
-        if ex < state.best_energy:
-            state.best_energy = ex
-            state.best_labeling = tuple(x.tolist())
+        history.append(lb)
+        best_energy = min(best_energy, run.energy(run.extract_labeling(unaries)))
 
         labels = run.commitments(unaries)
         committed = sum(1 for l in labels if l is not None)
 
-        if stop.stop_on_agreement and committed == model.num_nodes:
+        if committed == model.num_nodes:
+            reason = "agreement"
             break
-        gap = state.best_energy - best_bound
-        if gap <= stop.gap_tol * (1.0 + abs(state.best_energy)):
+        gap = best_energy - best_bound
+        if gap <= stop.gap_tol * (1.0 + abs(best_energy)):
+            reason = "gap"
             break
         if committed <= best_committed:
             stall += 1
             if stall >= stop.stall_passes:
+                reason = "stall"
                 break
         else:
             best_committed = committed
@@ -506,13 +470,12 @@ def solve_trws(
             # Cannot certify optimality: refuse to commit anything.
             labels = tuple([None] * model.num_nodes)
 
-    out = SolverOutput(
+    return SolverOutput(
         labels=labels,
-        objective_bound=best_bound if best_bound > -math.inf else 0.0,
+        objective_bound=best_bound,
         certificate="tree-agreement",
-        iterations=state.passes,
+        iterations=len(history),
+        stop=reason,
+        bound_history=tuple(history),
+        best_energy=best_energy,
     )
-    if not return_state:
-        return out
-    state.messages = run.messages()
-    return out, state

@@ -264,8 +264,8 @@ def test_criterion_08_solver_contracts():
         _, lp_value, lp_out = solve_lp_exact(m)
         if lp_value > ilp + 1e-7 * (1 + abs(ilp)):
             lp_gap_violations += 1
-        out, state = solve_trws(m, return_state=True)
-        hist = state.bound_history
+        out = solve_trws(m)
+        hist = out.bound_history
         if any(b < a - 1e-9 for a, b in zip(hist, hist[1:])):
             bound_violations += 1
         if out.objective_bound > ilp + 1e-7 * (1 + abs(ilp)):

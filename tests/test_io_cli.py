@@ -243,6 +243,14 @@ class TestCli:
         assert main(["prune"]) == 1
         assert main(["nope"]) == 1
 
+    def test_zero_pass_cap_is_usage_error(self, tmp_path, capsys):
+        model_path = tmp_path / "m.uai"
+        self.write_pendant(model_path)
+        assert main(["solve", str(model_path), "--solver", "trws", "--max-iters", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_passes" in captured.err
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"
         self.write_pendant(model_path)

@@ -154,6 +154,12 @@ class TestReparametrization:
                 e0, e1 = energy(m, x), energy(out, x)
                 assert abs(e0 - e1) <= 1e-9 * (1.0 + abs(e0))
 
+    def test_keeps_constant_factor(self):
+        m = GraphicalModel([2, 2], list(chain_model().factors) + [Factor((), -10.0)])
+        out = apply_reparametrization(m, Reparametrization.zero(m))
+        assert out == m
+        assert energy(out, (0, 0)) == energy(m, (0, 0))
+
     def test_rejects_higher_order(self):
         m = GraphicalModel([2, 2, 2], [Factor((0, 1, 2), np.zeros((2, 2, 2)))])
         with pytest.raises(UnsupportedArityError):

@@ -139,6 +139,20 @@ class TestCheckCriterion:
             if v.holds:
                 assert verify_persistent(m, nodes, x).verdict
 
+    def test_constant_factor_every_solver_agrees_with_oracle(self):
+        m = GraphicalModel(
+            [2, 2],
+            [Factor((), -10.0), Factor((0,), [0.0, 1.0]), Factor((0, 1), [[0.0, 0.5], [0.5, 0.0]])],
+        )
+        x = PartialLabeling((0,), (1,))
+        assert not verify_persistent(m, [0], x).verdict
+        for solver in ("bruteforce", "exact-lp", "trws"):
+            assert not check_criterion(m, [0], x, solver=solver).holds, solver
+            for mode in ("original", "optimal"):
+                res = prune(m, solver=solver, mode=mode)
+                assert res.a_star == (0, 1), (solver, mode)
+                assert verify_persistent(m, res.a_star, res.x_star).verdict, (solver, mode)
+
 
 class TestStrongPersistencyScan:
     def test_separable_maximal_is_everything(self):

@@ -11,12 +11,11 @@ from mapprune import (
     frustrated_cycle,
     generate,
     InstanceSpec,
-    output_to_marginals,
     solve_bruteforce,
     solve_lp_exact,
     solve_trws,
 )
-from mapprune.solvers import SolverOutput, bruteforce_output
+from mapprune.solvers import bruteforce_output
 from conftest import enumerate_min, random_pairwise, random_with_ternary
 
 
@@ -133,31 +132,6 @@ class TestLpExact:
             assert lp_value <= ilp_value + 1e-7 * (1 + abs(ilp_value))
 
 
-class TestOutputToMarginals:
-    def test_committed_equals_delta(self):
-        m = chain_model()
-        out = bruteforce_output(m)
-        mu = output_to_marginals(m, out)
-        from mapprune import delta
-
-        ref = delta(m, out.labels)
-        for a, b in zip(mu.node, ref.node):
-            assert np.array_equal(a, b)
-
-    def test_fractional_uniform(self):
-        m = GraphicalModel([2, 3])
-        out = SolverOutput(labels=(None, None), objective_bound=0.0, certificate="exact-lp", iterations=0)
-        mu = output_to_marginals(m, out)
-        assert np.allclose(mu.node[0], [0.5, 0.5])
-        assert np.allclose(mu.node[1], [1 / 3, 1 / 3, 1 / 3])
-
-    def test_factor_tables_product(self):
-        m = chain_model()
-        out = SolverOutput(labels=(0, None), objective_bound=0.0, certificate="exact-lp", iterations=0)
-        mu = output_to_marginals(m, out)
-        assert np.allclose(mu.factor[2], [[0.5, 0.5], [0.0, 0.0]])
-
-
 class TestTrws:
     def test_separable_commits_in_one_pass(self):
         m = GraphicalModel(
@@ -167,6 +141,7 @@ class TestTrws:
         out = solve_trws(m)
         assert out.labels == (1, 0)
         assert out.iterations == 1
+        assert out.stop == "agreement"
         assert abs(out.objective_bound - 1.0) <= 1e-12
 
     def test_frustrated_cycle_all_fractional(self):
@@ -193,8 +168,8 @@ class TestTrws:
     def test_bound_monotone_and_weakly_dual(self, rng):
         for _ in range(25):
             m = random_pairwise(rng, n_lo=2, n_hi=7)
-            out, state = solve_trws(m, StopRule(max_passes=60), return_state=True)
-            hist = state.bound_history
+            out = solve_trws(m, StopRule(max_passes=60))
+            hist = out.bound_history
             assert all(b <= a + 1e-9 for a, b in zip(hist[1:], hist))  # non-decreasing
             for _ in range(100):
                 x = tuple(int(rng.integers(0, k)) for k in m.label_counts)
@@ -217,6 +192,36 @@ class TestTrws:
                         violations += 1
         assert violations == 0
         assert committed > 400
+
+
+class TestSolverOutputDiagnostics:
+    def test_exact_solvers(self):
+        m = chain_model()
+        bf = bruteforce_output(m)
+        assert (bf.stop, bf.bound_history, bf.best_energy) == ("exact", (), bf.objective_bound)
+        lp = solve_lp_exact(m)[2]
+        assert (lp.stop, lp.bound_history, lp.best_energy) == ("exact", (), None)
+
+    def test_trws_stop_reasons(self):
+        # The frustrated cycle keeps a duality gap and never commits a node.
+        assert solve_trws(frustrated_cycle(), StopRule(max_passes=1)).stop == "max_passes"
+        out = solve_trws(frustrated_cycle(), StopRule(stall_passes=3))
+        assert out.stop == "stall"
+        assert out.iterations == len(out.bound_history) == 4
+        assert out.objective_bound == max(out.bound_history) <= out.best_energy
+
+    def test_constant_factor_counted_by_every_solver(self):
+        m = GraphicalModel(
+            [2, 2],
+            [Factor((), -10.0), Factor((0,), [0.0, 1.0]), Factor((0, 1), [[0.0, 0.5], [0.5, 0.0]])],
+        )
+        _, value, _ = solve_bruteforce(m)
+        assert value == -10.0
+        assert bruteforce_output(m).objective_bound == value
+        assert solve_lp_exact(m)[1] == value
+        out = solve_trws(m)
+        assert out.objective_bound == out.best_energy == value
+        assert out.labels == (0, 0)
 
 
 class TestDeterminism:

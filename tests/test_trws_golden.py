@@ -71,6 +71,7 @@ GOLDEN = {
             121.14324421601975, 121.14533883427829, 121.14718042920619,
         ],
         best_energy=121.14787081386135,
+        stop="gap",
     ),
     "grid_8x8x3": dict(
         labels="111111##111111##1111111#1111111111111111111111111111111111111111",
@@ -83,6 +84,7 @@ GOLDEN = {
             32.03148177295572, 32.048224866149766, 32.05297251484224,
         ],
         best_energy=32.05297251484222,
+        stop="gap",
     ),
     "mixed": dict(
         labels="#00#11001",
@@ -96,6 +98,7 @@ GOLDEN = {
             -3.0084850017175624, -3.0073682520422533,
         ],
         best_energy=-2.7971745561288075,
+        stop="stall",
     ),
 }
 
@@ -103,20 +106,18 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trws_matches_golden(name):
     build, stop = CASES[name]
-    out, state = solve_trws(build(), stop, return_state=True)
+    out = solve_trws(build(), stop)
     golden = GOLDEN[name]
     assert "".join(out.render_labels()) == golden["labels"]
     assert out.objective_bound == golden["bound"]
-    assert out.iterations == state.passes == golden["iterations"]
-    assert state.bound_history == golden["history"]
-    assert state.best_energy == golden["best_energy"]
+    assert out.iterations == len(out.bound_history) == golden["iterations"]
+    assert list(out.bound_history) == golden["history"]
+    assert out.best_energy == golden["best_energy"]
+    assert out.stop == golden["stop"]
 
 
 def test_mixed_counts_bound_and_messages():
     m = mixed()
-    out, state = solve_trws(m, CASES["mixed"][1], return_state=True)
+    out = solve_trws(m, CASES["mixed"][1])
     _, value, _ = solve_bruteforce(m)
     assert out.objective_bound <= value
-    assert set(state.messages) == {(u, v) for e in m.edges() for u, v in (e, e[::-1])}
-    for (u, v), msg in state.messages.items():
-        assert msg.shape == (m.label_counts[v],) and np.isfinite(msg).all()
