@@ -202,35 +202,29 @@ def build_lp(model: GraphicalModel) -> PolytopeLP:
         else:
             c[factor_offset[i] : factor_offset[i] + f.table.size] += f.table.ravel()
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    # One normalization row per node, then per factor and scope position one
+    # row per label: the factor entries with that label minus the node entry.
+    num_rows = model.num_nodes + sum(sum(shape) for shape in factor_shapes.values())
+    a_eq = np.zeros((num_rows, num_vars))
+    b_eq = np.zeros(num_rows)
+    b_eq[: model.num_nodes] = 1.0
     for v in range(model.num_nodes):
-        r = np.zeros(num_vars)
-        r[node_offset[v] : node_offset[v] + model.label_counts[v]] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-    for i, f in enumerate(model.factors):
-        if f.arity < 2:
-            continue
-        base = factor_offset[i]
-        strides = np.array(
-            [int(np.prod(f.table.shape[p + 1 :])) for p in range(f.arity)], dtype=np.int64
-        )
-        full_index = np.indices(f.table.shape).reshape(f.arity, -1)
-        flat = (strides[:, None] * full_index).sum(axis=0)
+        a_eq[v, node_offset[v] : node_offset[v] + model.label_counts[v]] = 1.0
+    row = model.num_nodes
+    for i, base in factor_offset.items():
+        f = model.factors[i]
+        entries = base + np.arange(f.table.size)
+        labels = np.indices(f.table.shape).reshape(f.arity, -1)
         for pos, v in enumerate(f.scope):
-            for label in range(model.label_counts[v]):
-                r = np.zeros(num_vars)
-                sel = full_index[pos] == label
-                r[base + flat[sel]] = 1.0
-                r[node_offset[v] + label] -= 1.0
-                rows.append(r)
-                rhs.append(0.0)
+            k = model.label_counts[v]
+            a_eq[row + labels[pos], entries] = 1.0
+            a_eq[row + np.arange(k), node_offset[v] + np.arange(k)] = -1.0
+            row += k
 
     return PolytopeLP(
         c=c,
-        a_eq=np.array(rows),
-        b_eq=np.array(rhs),
+        a_eq=a_eq,
+        b_eq=b_eq,
         node_offset=tuple(node_offset),
         factor_offset=factor_offset,
         num_vars=num_vars,

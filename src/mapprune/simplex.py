@@ -1,10 +1,11 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Two-phase primal simplex with Bland's anti-cycling rule.
 
-Solves min c.z subject to A z = b, z >= 0 on a dense tableau.  Bland's rule
-(lowest eligible index enters, ratio ties leave by lowest basis index) makes
-the pivot sequence, and therefore the returned vertex, deterministic for
-identical input bytes.  Intended for desk-scale problems, up to a few
-thousand variables.
+Solves min c.z subject to A z = b, z >= 0 on a tableau stored as one dense
+array, but each pivot rewrites only the rows whose pivot-column entry is
+nonzero: on local-polytope LPs that is usually a small fraction of the rows.
+Bland's rule (lowest eligible index enters, ratio ties leave by lowest basis
+index) makes the pivot sequence, and therefore the returned vertex,
+deterministic for identical input bytes.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ class SimplexResult:
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    column = T[:, col].copy()
-    column[row] = 0.0
-    T -= np.outer(column, T[row])
+    # Only rows with a nonzero in the pivot column change; the others would
+    # get x - 0*y = x.
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    T[rows] -= np.outer(T[rows, col], T[row])
     # Clean the pivot column exactly to keep later index tests sharp.
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -75,7 +78,7 @@ def solve_standard_form(
     Raises SolverError if the pivot budget is exhausted or the system is
     infeasible (which cannot happen for well-formed marginal polytopes).
     """
-    A = np.array(a_eq, dtype=np.float64)
+    A = np.asarray(a_eq, dtype=np.float64)
     b = np.array(b_eq, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     m, n = A.shape
@@ -84,16 +87,18 @@ def solve_standard_form(
     if max_pivots is None:
         max_pivots = 20000 + 50 * (m + n)
 
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1: artificial identity basis, minimize the artificial sum.
-    T = np.zeros((m + 1, n + m + 1))
+    # Phase 1: artificial identity basis, minimize the artificial sum.  The
+    # artificials never re-enter and no rule or result reads their columns,
+    # and a pivot updates each column from itself and the pivot column
+    # alone, so the tableau leaves them out; the basis keeps their ids
+    # n..n+m-1.
+    T = np.empty((m + 1, n + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    neg = b < 0
+    T[:m, :n][neg] *= -1.0
+    b[neg] *= -1.0
     T[:m, -1] = b
-    T[m, :n] = -A.sum(axis=0)
+    T[m, :n] = -T[:m, :n].sum(axis=0)
     T[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
 
@@ -114,12 +119,16 @@ def solve_standard_form(
         else:
             keep[row] = False
     if not keep.all():
-        T = np.vstack([T[:m][keep], T[m:]])
-        basis = basis[keep]
-        m = int(keep.sum())
+        # Move the kept rows up in place; the objective row is rebuilt below.
+        kept = np.flatnonzero(keep)
+        for dst, src in enumerate(kept):
+            if dst != src:
+                T[dst] = T[src]
+        basis = basis[kept]
+        m = kept.size
+        T = T[: m + 1]
 
     # Phase 2 on structural columns only.
-    T = np.hstack([T[:, :n], T[:, -1:]])
     T[m, :n] = c
     T[m, -1] = 0.0
     for row in range(m):

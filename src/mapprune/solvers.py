@@ -147,7 +147,7 @@ def bruteforce_output(model: GraphicalModel, cap: int = ENUMERATION_CAP) -> Solv
 
 
 def solve_lp_exact(model: GraphicalModel) -> tuple[Marginals, float, SolverOutput]:
-    """Optimal vertex of the local polytope via the dense simplex.
+    """Optimal vertex of the local polytope via the simplex.
 
     Nodes whose marginal is 0/1 within INTEGRALITY_TOL are committed; the
     rest are fractional.

@@ -4,7 +4,8 @@ Tables are read verbatim as costs by default; with values="probability"
 entries are mapped through -log, and zero probabilities become a per-model
 big-M cost (see ``_probability_costs``).  Scopes may appear in any
 node order in the file; tables are permuted onto the sorted scope used
-internally, and duplicate scopes merge by addition.
+internally, and duplicate scopes merge by addition.  A constant factor has
+arity 0 and a one-entry table.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
     scopes: list[list[int]] = []
     for i in range(num_factors):
         arity = ts.next_int(f"arity of factor {i}")
-        if arity < 1:
+        if arity < 0:
             raise UaiParseError(f"factor {i} has arity {arity}")
         scope = []
         for j in range(arity):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mapprune import (
+    Factor,
     GraphicalModel,
     InstanceSpec,
     UaiParseError,
@@ -14,6 +15,15 @@ from mapprune import (
 )
 from mapprune.cli import main
 from conftest import random_with_ternary
+
+
+def constant_model() -> GraphicalModel:
+    """Two nodes and a constant factor; the optimum is (0, 0) at -10."""
+    return GraphicalModel([2, 2], [
+        Factor((), -10.0),
+        Factor((0,), [0.0, 1.0]),
+        Factor((0, 1), [[0.0, 0.5], [0.5, 0.0]]),
+    ])
 
 
 class TestParseUai:
@@ -35,6 +45,15 @@ class TestParseUai:
             m = random_with_ternary(rng, n_lo=3, n_hi=6)
             back = parse_uai(write_uai(m))
             assert back == m
+
+    def test_roundtrip_constant_factor(self):
+        m = constant_model()
+        assert parse_uai(write_uai(m)) == m
+
+    def test_probability_mode_rejects_zero_constant(self):
+        text = write_uai(constant_model()).replace("\n -10\n", "\n 0\n")
+        with pytest.raises(UaiParseError, match="no labeling is feasible"):
+            parse_uai(text, values="probability")
 
     def test_truncated_table_names_factor(self):
         text = "MARKOV\n1\n2\n1\n1 0\n\n2\n 3\n"
@@ -155,6 +174,16 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("value ")
+
+    @pytest.mark.parametrize("solver", ["bruteforce", "lp", "trws"])
+    def test_solve_model_with_constant(self, tmp_path, capsys, solver):
+        model_path = tmp_path / "m.uai"
+        model_path.write_text(write_uai(constant_model()))
+        assert main(["solve", str(model_path), "--solver", solver]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:2] == [
+            f"{'bound' if solver == 'trws' else 'value'} -10.0", "labeling 0 0",
+        ]
 
     def test_prune_verify_flow(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"

@@ -1,11 +1,22 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mapprune import build_lp
+from mapprune import InstanceSpec, build_lp, generate
+from mapprune import simplex
 from mapprune.errors import SolverError
 from mapprune.simplex import solve_standard_form
 from conftest import random_pairwise, random_with_ternary
+
+
+def pairwise_lps(rng):
+    return [build_lp(random_pairwise(rng, n_lo=2, n_hi=6, mixed_labels=True)) for _ in range(30)]
+
+
+def hyper_lps(rng):
+    return [build_lp(random_with_ternary(rng, n_lo=3, n_hi=5)) for _ in range(8)]
 
 
 class TestKnownLPs:
@@ -35,9 +46,7 @@ class TestKnownLPs:
 
 class TestAgainstScipy:
     def test_random_polytope_lps(self, rng):
-        for _ in range(30):
-            m = random_pairwise(rng, n_lo=2, n_hi=6, mixed_labels=True)
-            lp = build_lp(m)
+        for lp in pairwise_lps(rng):
             mine = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
             ref = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs")
             assert ref.status == 0
@@ -46,9 +55,7 @@ class TestAgainstScipy:
             assert mine.x.min() >= 0.0
 
     def test_hyper_polytope_lps(self, rng):
-        for _ in range(8):
-            m = random_with_ternary(rng, n_lo=3, n_hi=5)
-            lp = build_lp(m)
+        for lp in hyper_lps(rng):
             mine = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
             ref = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method="highs")
             assert abs(mine.value - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
@@ -63,3 +70,48 @@ class TestDeterminism:
         assert r1.basis == r2.basis
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.x, r2.x)
+
+
+def dense_pivot(T, basis, row, col):
+    """The pivot that updated every row; the reference for the sparse one."""
+    T[row] /= T[row, col]
+    column = T[:, col].copy()
+    column[row] = 0.0
+    T -= np.outer(column, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def result_bytes(res):
+    return res.x.tobytes(), res.value.hex(), res.basis, res.iterations
+
+
+class TestSparsePivot:
+    @pytest.mark.parametrize("draw", [pairwise_lps, hyper_lps])
+    def test_same_results_as_dense_pivot(self, rng, monkeypatch, draw):
+        lps = draw(rng)
+        sparse = [result_bytes(solve_standard_form(lp.c, lp.a_eq, lp.b_eq)) for lp in lps]
+        monkeypatch.setattr(simplex, "_pivot", dense_pivot)
+        dense = [result_bytes(solve_standard_form(lp.c, lp.a_eq, lp.b_eq)) for lp in lps]
+        assert sparse == dense
+
+    def test_grid_vertex_matches_golden(self):
+        """Pivot count, value and vertex of one 8x8x3 Potts grid's LP, as
+        returned when every pivot rewrote every row of a tableau that also
+        held the artificial columns."""
+        m = generate(InstanceSpec(
+            kind="potts-grid", height=8, width=8, labels=3,
+            coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=2,
+        ))
+        lp = build_lp(m)
+        res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
+        assert res.iterations == 1202
+        assert res.value.hex() == "0x1.5735d34396f35p+4"
+        basis = np.asarray(res.basis, dtype=np.int64).tobytes()
+        assert hashlib.sha256(basis).hexdigest() == (
+            "c966fcc75e2cebc4ccd49e62468da8c5254c027da0092396b6ff0f5b2c1b025d"
+        )
+        assert hashlib.sha256(res.x.tobytes()).hexdigest() == (
+            "8562c65fca4a8e90c3901a401d1dc86edfd84317ecc9f32e1a431fdc9323170b"
+        )
