@@ -29,6 +29,7 @@ from .errors import (
 from .instances import InstanceSpec, frustrated_cycle, generate
 from .model import (
     Factor,
+    FactorGroup,
     GraphicalModel,
     PartialLabeling,
     Reparametrization,
@@ -74,6 +75,7 @@ __all__ = [
     "CriterionVerdict",
     "DomainError",
     "Factor",
+    "FactorGroup",
     "GraphicalModel",
     "InstanceSpec",
     "InvalidLabelingError",

@@ -9,13 +9,14 @@ augmented energy over A is the persistency test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedArityError
-from .model import Factor, GraphicalModel, Labeling, PartialLabeling
+from .model import GraphicalModel, Labeling, PartialLabeling
 
 
 @dataclass(frozen=True)
@@ -27,30 +28,51 @@ class BoundarySets:
     interior_nodes: tuple[int, ...]
 
 
+def _subset_mask(model: GraphicalModel, nodes: Iterable[int]) -> np.ndarray:
+    node_list = sorted(set(int(v) for v in nodes))
+    if node_list and (node_list[0] < 0 or node_list[-1] >= model.num_nodes):
+        raise DomainError("subset contains invalid node ids")
+    inside = np.zeros(model.num_nodes, dtype=bool)
+    inside[node_list] = True
+    return inside
+
+
+def _straddling(model: GraphicalModel, inside: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per factor group, each factor's count of scope nodes in A (it lies
+    inside A at count == arity and straddles A at 0 < count < arity), and
+    the mask of A's boundary nodes."""
+    counts = [inside[g.scopes].sum(axis=1) for g in model.groups]
+    on_boundary = np.zeros(model.num_nodes, dtype=bool)
+    for g, count in zip(model.groups, counts):
+        scopes = g.scopes[(count > 0) & (count < g.arity)]
+        on_boundary[scopes[inside[scopes]]] = True
+    return counts, on_boundary
+
+
 def boundary_sets(model: GraphicalModel, nodes: Iterable[int]) -> BoundarySets:
     """Split A into boundary/interior and collect factors straddling A."""
-    inside = set(int(v) for v in nodes)
-    if not inside <= set(range(model.num_nodes)):
-        raise DomainError("subset contains invalid node ids")
-    b_nodes: set[int] = set()
-    b_factors: list[int] = []
-    for i, f in enumerate(model.factors):
-        ins = [v for v in f.scope if v in inside]
-        outs = [v for v in f.scope if v not in inside]
-        if ins and outs:
-            b_factors.append(i)
-            b_nodes.update(ins)
+    inside = _subset_mask(model, nodes)
+    counts, on_boundary = _straddling(model, inside)
+    straddling = [np.empty(0, dtype=np.int64)]
+    straddling += [g.positions[(c > 0) & (c < g.arity)] for g, c in zip(model.groups, counts)]
     return BoundarySets(
-        boundary_nodes=tuple(sorted(b_nodes)),
-        boundary_factors=tuple(b_factors),
-        interior_nodes=tuple(sorted(inside - b_nodes)),
+        boundary_nodes=tuple(np.flatnonzero(on_boundary).tolist()),
+        boundary_factors=tuple(np.sort(np.concatenate(straddling)).tolist()),
+        interior_nodes=tuple(np.flatnonzero(inside & ~on_boundary).tolist()),
     )
 
 
-def _split_scope(f: Factor, inside: set[int]) -> tuple[list[int], list[int]]:
-    ins = [p for p, v in enumerate(f.scope) if v in inside]
-    outs = [p for p, v in enumerate(f.scope) if v not in inside]
-    return ins, outs
+def _boundary_rule(flat: np.ndarray, y_flat: np.ndarray, mode: str) -> np.ndarray:
+    """The max/min rule on (F, inside tuples, outside tuples) tables, with
+    y_flat[i] the test tuple's row in table i: max over the outside labels
+    on that row, min on every other row.  mode="optimal" first subtracts
+    the test row from each table."""
+    rows = np.arange(len(flat))
+    if mode == "optimal":
+        flat = flat - flat[rows, y_flat][:, None, :]
+    table = flat.min(axis=2)
+    table[rows, y_flat] = flat[rows, y_flat].max(axis=1)
+    return table
 
 
 def boundary_potential(
@@ -74,28 +96,22 @@ def boundary_potential(
         raise DomainError(f"unknown boundary potential mode {mode!r}")
     inside = set(int(v) for v in nodes)
     f = model.factors[factor_index]
-    ins_pos, out_pos = _split_scope(f, inside)
+    ins_pos = [p for p, v in enumerate(f.scope) if v in inside]
+    out_pos = [p for p, v in enumerate(f.scope) if v not in inside]
     if not ins_pos or not out_pos:
         raise DomainError(f"factor {factor_index} over {f.scope} does not straddle the subset")
     ins_scope = tuple(f.scope[p] for p in ins_pos)
     if not y.covers(ins_scope):
         raise DomainError(f"test labeling does not cover boundary nodes {ins_scope}")
-    y_ins = tuple(y.label_of(v) for v in ins_scope)
-
+    if mode == "optimal" and f.arity != 2:
+        raise UnsupportedArityError(
+            "optimal-mode boundary potentials are defined for pairwise factors only"
+        )
     # Bring inside axes to the front, flatten outside axes away.
     arr = np.transpose(f.table, ins_pos + out_pos)
     k_ins = arr.shape[: len(ins_pos)]
-    flat = arr.reshape(int(np.prod(k_ins)), -1)
-    y_flat = np.ravel_multi_index(y_ins, k_ins)
-
-    if mode == "optimal":
-        if f.arity != 2:
-            raise UnsupportedArityError(
-                "optimal-mode boundary potentials are defined for pairwise factors only"
-            )
-        flat = flat - flat[y_flat]
-    table = flat.min(axis=1)
-    table[y_flat] = flat[y_flat].max()
+    y_flat = np.ravel_multi_index(tuple(y.label_of(v) for v in ins_scope), k_ins)
+    table = _boundary_rule(arr.reshape(1, math.prod(k_ins), -1), np.array([y_flat]), mode)
     return ins_scope, table.reshape(k_ins)
 
 
@@ -132,31 +148,75 @@ def build_augmented_model(
 
     Boundary tables land on the A-side scope (a unary for pairwise factors, a
     clique over A-and-scope for hyperedges); same-scope contributions merge
-    additively.  Factors entirely outside A are dropped.
+    additively, the inside factor first, then the boundary tables in factor
+    order.  Factors entirely outside A are dropped.  Works on the factor
+    groups: one slice per group for the inside factors, and one max/min
+    (``_boundary_rule``) for all straddling factors whose tables flatten to
+    the same (inside, outside) shape, so one for a pairwise group with equal
+    label counts.  No ``Factor`` objects are made.
     """
-    node_list = tuple(sorted(set(int(v) for v in nodes)))
-    if node_list and (node_list[0] < 0 or node_list[-1] >= model.num_nodes):
-        raise DomainError("subset contains invalid node ids")
-    local = {v: i for i, v in enumerate(node_list)}
-    sets = boundary_sets(model, node_list)
-    if not y.covers(sets.boundary_nodes):
+    if mode not in ("original", "optimal"):
+        raise DomainError(f"unknown boundary potential mode {mode!r}")
+    inside = _subset_mask(model, nodes)
+    local = np.cumsum(inside) - 1
+    counts, on_boundary = _straddling(model, inside)
+    boundary = tuple(np.flatnonzero(on_boundary).tolist())
+    if not y.covers(boundary):
         raise DomainError("test labeling must cover the boundary nodes")
     y.validate(model)
+    y_full = np.zeros(model.num_nodes, dtype=np.int64)
+    y_full[list(y.domain)] = y.labels
 
-    factors: list[Factor] = []
-    inside = set(node_list)
-    for i, f in enumerate(model.factors):
-        if all(v in inside for v in f.scope):
-            factors.append(Factor(tuple(local[v] for v in f.scope), f.table))
-    for i in sets.boundary_factors:
-        scope, table = boundary_potential(model, i, node_list, y, mode)
-        factors.append(Factor(tuple(local[v] for v in scope), table))
+    blocks = []
+    cut_tables: dict[tuple[int, int], list] = {}  # (inside, outside) tuples -> parts
+    for g, count in zip(model.groups, counts):
+        keep = count == g.arity
+        if keep.any():
+            blocks.append((local[g.scopes[keep]], g.tables[keep]))
+        cut = np.flatnonzero((count > 0) & ~keep)
+        if not cut.size:
+            continue
+        if mode == "optimal" and g.arity != 2:
+            raise UnsupportedArityError(
+                "optimal-mode boundary potentials are defined for pairwise factors only"
+            )
+        # One part per pattern of inside scope positions, inside axes first.
+        pattern = inside[g.scopes[cut]] @ (1 << np.arange(g.arity))
+        for code in np.unique(pattern).tolist():
+            rows = cut[pattern == code]
+            ins_pos = [p for p in range(g.arity) if code >> p & 1]
+            out_pos = [p for p in range(g.arity) if not code >> p & 1]
+            arr = g.tables[rows].transpose(0, *(p + 1 for p in ins_pos + out_pos))
+            k_ins = arr.shape[1 : 1 + len(ins_pos)]
+            ins_scopes = g.scopes[rows][:, ins_pos]
+            flat = arr.reshape(len(rows), math.prod(k_ins), -1)
+            y_flat = np.ravel_multi_index(tuple(y_full[ins_scopes].T), k_ins)
+            cut_tables.setdefault(flat.shape[1:], []).append(
+                (flat, y_flat, local[ins_scopes], k_ins, g.positions[rows])
+            )
 
-    sub = GraphicalModel([model.label_counts[v] for v in node_list], factors)
+    boundary_blocks: dict[tuple[int, ...], list] = {}
+    for parts in cut_tables.values():
+        tables = _boundary_rule(
+            np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), mode
+        )
+        first = 0
+        for _, y_flat, scopes, k_ins, positions in parts:
+            table = tables[first : first + len(y_flat)].reshape(len(y_flat), *k_ins)
+            boundary_blocks.setdefault(k_ins, []).append((scopes, table, positions))
+            first += len(y_flat)
+    for parts in boundary_blocks.values():
+        order = np.argsort(np.concatenate([p[2] for p in parts]))
+        blocks.append((
+            np.concatenate([p[0] for p in parts])[order],
+            np.concatenate([p[1] for p in parts])[order],
+        ))
+
+    node_list = np.flatnonzero(inside).tolist()
     return AugmentedModel(
-        model=sub,
-        nodes=node_list,
-        test_labeling=y.restrict(sets.boundary_nodes),
+        model=GraphicalModel.from_arrays([model.label_counts[v] for v in node_list], blocks),
+        nodes=tuple(node_list),
+        test_labeling=y.restrict(boundary),
         mode=mode,
     )
 
@@ -176,12 +236,15 @@ def build_gamma_model(
     ys = model.validate_labeling(y)
     full = PartialLabeling(tuple(range(model.num_nodes)), ys)
     aug = build_augmented_model(model, nodes, full, mode="optimal")
-    factors = []
-    for f in aug.model.factors:
-        scope = tuple(aug.nodes[i] for i in f.scope)
-        factors.append(Factor(scope, f.table - f.table[tuple(ys[v] for v in scope)]))
+    original = np.array(aug.nodes, dtype=np.int64)
+    labels = np.array(ys, dtype=np.int64)
+    blocks = []
+    for g in aug.model.groups:
+        scopes = original[g.scopes]
+        at_y = g.tables[(np.arange(len(scopes)), *labels[scopes].T)]
+        blocks.append((scopes, g.tables - at_y.reshape(-1, *[1] * g.arity)))
     return AugmentedModel(
-        model=GraphicalModel(model.label_counts, factors),
+        model=GraphicalModel.from_arrays(model.label_counts, blocks),
         nodes=full.domain,
         test_labeling=full.restrict(aug.nodes),
         mode="gamma",

@@ -3,14 +3,16 @@
 A model is a set of nodes with finite label spaces plus factors of arbitrary
 arity holding dense cost tables.  All energies are to be minimized.  Every
 type in this module is immutable after construction and safe to share across
-threads.
+threads; a model's ``factors`` tuple may be built on first read, and two
+threads reading it first at once may each build an equal one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +62,14 @@ class Factor:
         if not np.isfinite(self.table).all():
             raise DomainError(f"factor over {scope} has non-finite table entries")
 
+    @classmethod
+    def _of_row(cls, scope: tuple[int, ...], table: np.ndarray) -> "Factor":
+        """A factor over a read-only row of a validated group: no copy, no checks."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "scope", scope)
+        object.__setattr__(f, "table", table)
+        return f
+
     @property
     def arity(self) -> int:
         return len(self.scope)
@@ -69,73 +79,229 @@ class Factor:
         return float(self.table[tuple(labels)])
 
 
+class FactorGroup(NamedTuple):
+    """Every factor of one arity and table shape, stacked.
+
+    ``scopes`` is int64 (F, arity) with strictly increasing rows, in
+    ascending order; ``tables`` is read-only float64 (F, *shape); row i is
+    ``model.factors[positions[i]]``.
+    """
+
+    scopes: np.ndarray
+    tables: np.ndarray
+    positions: np.ndarray
+
+    @property
+    def arity(self) -> int:
+        return self.scopes.shape[1]
+
+
+def _first_row(scopes: np.ndarray, bad: np.ndarray) -> tuple[int, ...]:
+    return tuple(scopes[np.flatnonzero(bad)[0]].tolist())
+
+
+def _check_group(
+    scopes: np.ndarray, tables: np.ndarray, num_nodes: int, counts: np.ndarray | None, factors: bool
+) -> None:
+    """Scope range and table shapes, once per group; scope order and
+    finiteness too unless the rows come from ``Factor`` objects (``factors``),
+    which checked them.  ``counts`` is None when every node's label count
+    matches every table axis, so in-range scopes cannot mismatch."""
+    if scopes.size and scopes.view(np.uint64).max() >= num_nodes:  # negative ids wrap to huge
+        bad = ((scopes < 0) | (scopes >= num_nodes)).any(axis=1)
+        raise DomainError(f"factor scope {_first_row(scopes, bad)} outside node range")
+    if not factors and (scopes[:, 1:] <= scopes[:, :-1]).any():
+        bad = (scopes[:, 1:] <= scopes[:, :-1]).any(axis=1)
+        raise DomainError(f"factor scope must be strictly sorted, got {_first_row(scopes, bad)}")
+    if counts is not None and (counts[scopes] != tables.shape[1:]).any():
+        bad = (counts[scopes] != tables.shape[1:]).any(axis=1)
+        scope = _first_row(scopes, bad)
+        expected = tuple(int(counts[v]) for v in scope)
+        raise DomainError(f"factor over {scope}: table shape {tables.shape[1:]} != {expected}")
+    if not factors and not np.isfinite(tables).all():
+        bad = ~np.isfinite(tables.reshape(len(tables), -1)).all(axis=1)
+        raise DomainError(f"factor over {_first_row(scopes, bad)} has non-finite table entries")
+
+
+def _merge(scopes: np.ndarray, tables: np.ndarray, num_nodes: int, ordered: bool):
+    """Sort one group's rows by scope and add the tables of a repeated scope
+    one by one in input order.  Returns (scopes, tables, source): source[i]
+    is the input row of output row i, or -1 where several rows were added.
+    ``ordered`` says the rows are known to be sorted without repeats."""
+    arity = scopes.shape[1]
+    if ordered:
+        tables.setflags(write=False)
+        return scopes, tables, np.arange(len(scopes))
+    if arity and num_nodes**arity < 2**62:
+        key = scopes[:, 0]
+        for j in range(1, arity):
+            key = key * num_nodes + scopes[:, j]
+        if (key[1:] > key[:-1]).all():  # already sorted, no repeats
+            tables.setflags(write=False)
+            return scopes, tables, np.arange(len(key))
+        order = np.argsort(key, kind="stable")
+    else:  # constants, or keys that could overflow
+        order = np.lexsort(scopes.T[::-1]) if arity else np.arange(len(scopes))
+    s = scopes[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    first = order[new]
+    out = tables[first]
+    np.add.at(out, (np.cumsum(new) - 1)[~new], tables[order[~new]])
+    out.setflags(write=False)
+    size = np.diff(np.append(np.flatnonzero(new), len(s)))
+    return s[new], out, np.where(size == 1, first, -1)
+
+
 class GraphicalModel:
     """Nodes with finite label spaces plus factors with dense cost tables.
 
     Duplicate scopes are merged by adding their tables, so each scope appears
-    at most once.  Factors are stored sorted by (arity, scope) which makes
-    construction deterministic regardless of input order.
+    at most once.  Factors are ordered by (arity, scope), which makes
+    construction deterministic regardless of input order.  They are stored
+    as ``groups``, one ``FactorGroup`` per (arity, table shape); ``factors``
+    is the tuple view of the same factors in (arity, scope) order.
     """
 
-    __slots__ = ("num_nodes", "label_counts", "factors", "_factors_of_node", "_index_of_scope")
+    __slots__ = ("num_nodes", "label_counts", "groups", "num_factors", "_factors", "_index_of_scope")
 
     def __init__(self, label_counts: Sequence[int], factors: Iterable[Factor] = ()):
+        # Factors that keep their scope to themselves stay in the view as
+        # given (they are immutable); merged ones are made on first read.
+        by_shape: dict[tuple[int, ...], list[Factor]] = {}
+        for f in factors:
+            by_shape.setdefault(f.table.shape, []).append(f)
+        blocks = [
+            (np.array([f.scope for f in fs], dtype=np.int64), np.array([f.table for f in fs]))
+            for fs in by_shape.values()
+        ]
+        ordered = all(a.scope < b.scope for fs in by_shape.values() for a, b in zip(fs, fs[1:]))
+        sources = self._store(label_counts, blocks, factors=True, ordered=ordered)
+        view: list[Factor | None] = [None] * self.num_factors
+        for g, source in zip(self.groups, sources):
+            fs = by_shape[g.tables.shape[1:]]
+            for p, src in zip(g.positions.tolist(), source.tolist()):
+                if src >= 0:
+                    view[p] = fs[src]
+        merged = self.num_factors < sum(map(len, by_shape.values()))
+        self._factors = view if merged else tuple(view)
+
+    @classmethod
+    def from_arrays(cls, label_counts: Sequence[int], blocks) -> "GraphicalModel":
+        """A model from (scopes int[F, a], tables float[F, *shape]) blocks, in
+        input order: repeated scopes add in that order.  The model takes the
+        arrays over where their dtype fits and no scope repeats or needs
+        sorting: they are made read-only, so pass arrays nothing else writes
+        to.  Its ``factors`` view is made on first read."""
+        model = cls.__new__(cls)
+        model._factors = None
+        blocks = [
+            (np.asarray(scopes, dtype=np.int64), np.asarray(tables, dtype=np.float64))
+            for scopes, tables in blocks
+        ]
+        for scopes, tables in blocks:
+            if scopes.ndim != 2 or tables.ndim != scopes.shape[1] + 1 or len(tables) != len(scopes):
+                raise DomainError(
+                    f"scopes {scopes.shape} and tables {tables.shape} do not form one factor per row"
+                )
+        model._store(label_counts, blocks, factors=False, ordered=False)
+        return model
+
+    def _store(self, label_counts: Sequence[int], blocks, factors: bool, ordered: bool) -> list[np.ndarray]:
+        """Validate, merge and group the blocks (``factors`` and ``ordered`` as
+        for ``_check_group`` and ``_merge``); returns each group's merge
+        sources, row for row."""
         counts = tuple(int(k) for k in label_counts)
         if any(k < 1 for k in counts):
             raise DomainError(f"label counts must be >= 1, got {counts}")
-        self.num_nodes = len(counts)
+        n = self.num_nodes = len(counts)
         self.label_counts = counts
+        self._index_of_scope = None
+        # With one label count everywhere, every in-range scope fits a table
+        # of that count on each axis: only other shapes need the row check.
+        uniform = (counts[0],) if counts and counts.count(counts[0]) == n else ()
+        count_arr = np.array(counts, dtype=np.int64)
 
-        # A factor whose scope appears once is kept as given (it is immutable);
-        # only merged scopes build a new Factor.
-        merged: dict[tuple[int, ...], Factor] = {}
-        for f in factors:
-            if f.scope and (f.scope[0] < 0 or f.scope[-1] >= self.num_nodes):
-                raise DomainError(f"factor scope {f.scope} outside node range")
-            expected = tuple(counts[v] for v in f.scope)
-            if f.table.shape != expected:
-                raise DomainError(
-                    f"factor over {f.scope}: table shape {f.table.shape} != {expected}"
-                )
-            if f.scope in merged:
-                f = Factor(f.scope, merged[f.scope].table + f.table)
-            merged[f.scope] = f
-        self.factors = tuple(merged[s] for s in sorted(merged, key=lambda s: (len(s), s)))
+        by_shape: dict[tuple[int, ...], list] = {}
+        for scopes, tables in blocks:
+            if len(scopes):
+                by_shape.setdefault(tables.shape[1:], []).append((scopes, tables))
+        groups, sources = [], []
+        offset = 0
+        for arity, shapes in itertools.groupby(sorted(by_shape, key=lambda s: (len(s), s)), key=len):
+            same = []
+            for shape in shapes:
+                parts = by_shape[shape]
+                scopes = np.concatenate([s for s, _ in parts]) if len(parts) > 1 else parts[0][0]
+                tables = np.concatenate([t for _, t in parts]) if len(parts) > 1 else parts[0][1]
+                checked = None if shape == uniform * arity else count_arr
+                _check_group(scopes, tables, n, checked, factors)
+                same.append(_merge(scopes, tables, n, ordered))
+            # Positions: (arity, scope) order across the groups of one arity.
+            size = sum(len(m[0]) for m in same)
+            rank = np.arange(offset, offset + size)
+            if len(same) > 1:
+                rank[np.lexsort(np.concatenate([m[0] for m in same]).T[::-1])] = rank.copy()
+            for scopes, tables, source in same:
+                groups.append(FactorGroup(scopes, tables, rank[: len(scopes)]))
+                sources.append(source)
+                rank = rank[len(scopes) :]
+            offset += size
+        self.groups = tuple(groups)
+        self.num_factors = offset
+        return sources
 
-        per_node: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        index_of_scope: dict[tuple[int, ...], int] = {}
-        for i, f in enumerate(self.factors):
-            index_of_scope[f.scope] = i
-            for v in f.scope:
-                per_node[v].append(i)
-        self._factors_of_node = tuple(tuple(ix) for ix in per_node)
-        self._index_of_scope = index_of_scope
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        """The factors in (arity, scope) order, as ``Factor`` objects."""
+        view = self._factors
+        if isinstance(view, tuple):
+            return view
+        if view is None:
+            view = [None] * self.num_factors
+        for g in self.groups:
+            for i, (p, scope) in enumerate(zip(g.positions.tolist(), g.scopes.tolist())):
+                if view[p] is None:
+                    view[p] = Factor._of_row(tuple(scope), g.tables[i, ...])
+        self._factors = tuple(view)
+        return self._factors
 
     # -- basic structure -------------------------------------------------
 
+    def _scopes(self, arity: int) -> np.ndarray:
+        """int64 (F, arity): the scopes of that arity in stored order."""
+        same = [g for g in self.groups if g.arity == arity]
+        if not same:
+            return np.empty((0, arity), dtype=np.int64)
+        scopes = np.concatenate([g.scopes for g in same])
+        return scopes[np.argsort(np.concatenate([g.positions for g in same]))]
+
     def factor_index(self, scope: Sequence[int]) -> int | None:
-        return self._index_of_scope.get(tuple(scope))
+        if self._index_of_scope is None:
+            self._index_of_scope = {
+                tuple(s): p
+                for g in self.groups
+                for s, p in zip(g.scopes.tolist(), g.positions.tolist())
+            }
+        return self._index_of_scope.get(tuple(int(v) for v in scope))
 
     def unary_table(self, v: int) -> np.ndarray | None:
-        i = self._index_of_scope.get((v,))
+        i = self.factor_index((v,))
         return None if i is None else self.factors[i].table
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted scopes of all pairwise factors."""
-        return [f.scope for f in self.factors if f.arity == 2]
+        return [tuple(s) for s in self._scopes(2).tolist()]
 
     def neighbors(self, v: int) -> list[int]:
         """Nodes sharing a pairwise factor with v (sorted, unique)."""
-        out = set()
-        for i in self._factors_of_node[v]:
-            f = self.factors[i]
-            if f.arity == 2:
-                out.add(f.scope[0] if f.scope[1] == v else f.scope[1])
-        return sorted(out)
+        edges = self._scopes(2)
+        earlier = edges[edges[:, 1] == v, 0].tolist()
+        return sorted(set(earlier) | set(edges[edges[:, 0] == v, 1].tolist()))
 
     @property
     def max_arity(self) -> int:
-        return max((f.arity for f in self.factors), default=0)
+        return max((g.arity for g in self.groups), default=0)
 
     @property
     def is_pairwise(self) -> bool:
@@ -162,17 +328,19 @@ class GraphicalModel:
             return NotImplemented
         return (
             self.label_counts == other.label_counts
-            and len(self.factors) == len(other.factors)
+            and len(self.groups) == len(other.groups)
             and all(
-                a.scope == b.scope and np.array_equal(a.table, b.table)
-                for a, b in zip(self.factors, other.factors)
+                np.array_equal(a.scopes, b.scopes)
+                and np.array_equal(a.positions, b.positions)
+                and np.array_equal(a.tables, b.tables)
+                for a, b in zip(self.groups, other.groups)
             )
         )
 
     def __repr__(self) -> str:
         return (
             f"GraphicalModel(nodes={self.num_nodes}, labels={self.label_counts}, "
-            f"factors={len(self.factors)}, max_arity={self.max_arity})"
+            f"factors={self.num_factors}, max_arity={self.max_arity})"
         )
 
 
@@ -289,12 +457,16 @@ class Reparametrization:
 
 
 def energy(model: GraphicalModel, x: Labeling) -> float:
-    """Total cost of a full labeling: plain floating sum in stored factor order."""
-    xs = model.validate_labeling(x)
-    total = 0.0
-    for f in model.factors:
-        total += float(f.table[tuple(xs[v] for v in f.scope)])
-    return total
+    """Total cost of a full labeling: plain floating sum in stored factor order.
+
+    One gather per factor group; ``np.cumsum`` then adds the values one by
+    one from 0.0 in (arity, scope) order (``np.sum`` would add pairwise).
+    """
+    labels = np.array(model.validate_labeling(x), dtype=np.int64)
+    terms = np.zeros(model.num_factors + 1)
+    for g in model.groups:
+        terms[g.positions + 1] = g.tables[(np.arange(len(g.scopes)), *labels[g.scopes].T)]
+    return float(np.cumsum(terms)[-1])
 
 
 def restricted_energy(model: GraphicalModel, nodes: Iterable[int], x: PartialLabeling) -> float:

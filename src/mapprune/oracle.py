@@ -13,7 +13,18 @@ import numpy as np
 
 from .errors import DomainError, InvalidLabelingError
 from .model import GraphicalModel, Labeling, PartialLabeling
-from .solvers import ENUMERATION_CAP, TIE_TOL, _enumerate, energies_of, solve_bruteforce
+# solve_bruteforce is not called here, but stays importable from this
+# module: perfbench/tracing.py wraps it under this module's name.
+from .solvers import (  # noqa: F401
+    _CHUNK,
+    ENUMERATION_CAP,
+    TIE_TOL,
+    _enumerate,
+    _labelings_at,
+    _optimal_rows,
+    energies_of,
+    solve_bruteforce,
+)
 
 
 @dataclass(frozen=True)
@@ -35,10 +46,24 @@ def _validated_subset(model: GraphicalModel, nodes, x: PartialLabeling) -> tuple
     return subset
 
 
-def _agreeing(optima: np.ndarray, subset: tuple[int, ...], x: PartialLabeling) -> np.ndarray:
-    """Per optimum row: does it agree with x on the subset?"""
+def _first_optimum(
+    model: GraphicalModel, rows: np.ndarray, subset: tuple[int, ...], x: PartialLabeling, agree: bool
+) -> int | None:
+    """Index into ``rows`` of the first optimum that agrees (agree=True) or
+    disagrees (agree=False) with x on the subset, or None.  Decodes one
+    chunk of rows at a time."""
+    cols = list(subset)
     want = np.array([x.label_of(v) for v in subset], dtype=np.int64)
-    return (optima[:, list(subset)] == want).all(axis=1)
+    for start in range(0, len(rows), _CHUNK):
+        block = _labelings_at(model, rows[start : start + _CHUNK])
+        hits = np.flatnonzero((block[:, cols] == want).all(axis=1) == agree)
+        if hits.size:
+            return start + int(hits[0])
+    return None
+
+
+def _labeling(model: GraphicalModel, row) -> tuple[int, ...]:
+    return tuple(_labelings_at(model, np.array([row], dtype=np.int64))[0].tolist())
 
 
 def verify_persistent(
@@ -46,9 +71,9 @@ def verify_persistent(
 ) -> OracleReport:
     """Does some global optimum agree with x on the subset?"""
     subset = _validated_subset(model, nodes, x)
-    first, _, optima = solve_bruteforce(model, cap)
-    holds = bool(_agreeing(optima, subset, x).any())
-    return OracleReport("persistent", holds, None if holds else first, len(optima))
+    _, rows = _optimal_rows(model, cap)
+    holds = _first_optimum(model, rows, subset, x, agree=True) is not None
+    return OracleReport("persistent", holds, None if holds else _labeling(model, rows[0]), len(rows))
 
 
 def verify_strongly_persistent(
@@ -56,10 +81,10 @@ def verify_strongly_persistent(
 ) -> OracleReport:
     """Does every global optimum agree with x on the subset?"""
     subset = _validated_subset(model, nodes, x)
-    _, _, optima = solve_bruteforce(model, cap)
-    failing = np.flatnonzero(~_agreeing(optima, subset, x))
-    witness = tuple(optima[failing[0]].tolist()) if failing.size else None
-    return OracleReport("strongly-persistent", witness is None, witness, len(optima))
+    _, rows = _optimal_rows(model, cap)
+    failing = _first_optimum(model, rows, subset, x, agree=False)
+    witness = None if failing is None else _labeling(model, rows[failing])
+    return OracleReport("strongly-persistent", witness is None, witness, len(rows))
 
 
 def verify_improving(

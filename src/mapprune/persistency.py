@@ -40,6 +40,9 @@ from .solvers import (
 
 # Energy-equality tolerance for criterion verdicts (absolute + relative).
 CRITERION_TOL = 1e-7
+# Slack on the summed pinned marginals when testing that every optimal LP
+# point keeps each pin at 1.
+PIN_SLACK = 1e-6
 
 _SOLVER_ALIASES = {
     "lp": "exact-lp",
@@ -294,7 +297,7 @@ def _pinned_on_optimal_face(lp, value: float, pins) -> bool:
         obj[lp.node_offset[v] + l] = 1.0
     a = np.vstack([lp.a_eq, lp.c[None, :]])
     b = np.concatenate([lp.b_eq, [value]])
-    return solve_standard_form(obj, a, b).value >= len(pins) - 1e-6
+    return solve_standard_form(obj, a, b).value >= len(pins) - PIN_SLACK
 
 
 def strong_persistency_scan(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
-from .model import Factor, GraphicalModel, energies_close, energy
+from .model import GraphicalModel, energies_close, energy
 from .polytope import Marginals, build_lp
 from .simplex import solve_standard_form
 
@@ -25,6 +25,12 @@ INTEGRALITY_TOL = 1e-6
 TIE_TOL = 1e-9
 # Uniqueness margin for tree agreement: a label must beat the runner-up by this.
 AGREEMENT_MARGIN = 1e-9
+# Relative slack under which a pair min-marginal entry counts as minimal when
+# checking that a committed label sits on each incident edge's minimum.
+PAIR_MARGINAL_SLACK = 1e-7
+# Tolerance for certifying a fully committed TRW-S labeling: its energy must
+# match the best dual bound within this (absolute + relative).
+CERTIFY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -109,16 +115,8 @@ def energies_of(model: GraphicalModel, labelings: np.ndarray) -> np.ndarray:
     return vals
 
 
-def solve_bruteforce(
-    model: GraphicalModel, cap: int = ENUMERATION_CAP
-) -> tuple[tuple[int, ...], float, np.ndarray]:
-    """Exact minimum by enumeration.
-
-    Returns (x, value, optima).  ``value`` is the minimum energy.
-    ``optima`` is an int64 array with one row per labeling within TIE_TOL of
-    ``value``, in lexicographic order, so ``len(optima)`` counts the tied
-    optima.  ``x`` is its first row, as a tuple of ints.
-    """
+def _optimal_rows(model: GraphicalModel, cap: int) -> tuple[float, np.ndarray]:
+    """(minimum energy, the enumeration rows within TIE_TOL of it, ascending)."""
     # One pass: keep each chunk's rows within TIE_TOL of the running best,
     # then filter them against the final best.
     best = math.inf
@@ -129,7 +127,20 @@ def solve_bruteforce(
         keep = vals <= best + TIE_TOL
         kept_vals.append(vals[keep])
         kept_rows.append(idx[keep])
-    rows = np.concatenate(kept_rows)[np.concatenate(kept_vals) <= best + TIE_TOL]
+    return best, np.concatenate(kept_rows)[np.concatenate(kept_vals) <= best + TIE_TOL]
+
+
+def solve_bruteforce(
+    model: GraphicalModel, cap: int = ENUMERATION_CAP
+) -> tuple[tuple[int, ...], float, np.ndarray]:
+    """Exact minimum by enumeration.
+
+    Returns (x, value, optima).  ``value`` is the minimum energy.
+    ``optima`` is an int64 array with one row per labeling within TIE_TOL of
+    ``value``, in lexicographic order, so ``len(optima)`` counts the tied
+    optima.  ``x`` is its first row, as a tuple of ints.
+    """
+    best, rows = _optimal_rows(model, cap)
     optima = _labelings_at(model, rows)
     return tuple(optima[0].tolist()), best, optima
 
@@ -168,20 +179,23 @@ def solve_lp_exact(model: GraphicalModel) -> tuple[Marginals, float, SolverOutpu
 # -- sequential dual block-coordinate ascent --------------------------------
 
 
-def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
-    """Ragged index lists as an int matrix, padded at the tail with ``fill``."""
-    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = row
+def _rows(keys: np.ndarray, values: np.ndarray, num_rows: int, fill: int) -> np.ndarray:
+    """CSR lists as an int matrix: row r holds, in order, the values whose
+    key is r (``keys`` ascending), padded at the tail with ``fill``."""
+    counts = np.bincount(keys, minlength=num_rows)
+    out = np.full((num_rows, int(counts.max(initial=0))), fill, dtype=np.int64)
+    out[keys, np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys]] = values
     return out
 
 
-def _by_level(level: list[int]) -> list[list[int]]:
-    """Node ids grouped by level, ascending within each group."""
-    groups: list[list[int]] = [[] for _ in range(max(level, default=-1) + 1)]
-    for v, l in enumerate(level):
-        groups[l].append(v)
-    return groups
+def _by_key(keys: np.ndarray, num: int, items: np.ndarray | None = None) -> list[np.ndarray]:
+    """The positions of ``keys`` (or ``items`` at them) grouped by key
+    0..num-1, in input order within each key."""
+    order = np.argsort(keys, kind="stable")
+    if items is not None:
+        order = items[order]
+    ends = np.cumsum(np.bincount(keys, minlength=num)).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 class _TrwsRun:
@@ -196,9 +210,10 @@ class _TrwsRun:
     v telescope into a valid lower bound on the optimum for any state.
 
     The state lives in arrays, with labels padded to the largest label count
-    k.  ``tables`` stacks the edge tables as (E, k, k), oriented (u, v) for
-    each edge u < v of ``model.edges()``, and ``unary`` is (n, k); both hold
-    +inf on padded labels.  ``msg`` has one row per directed message: row e
+    k, copied straight from the model's factor groups.  ``tables`` stacks the
+    edge tables as (E, k, k), oriented (u, v) for each edge u < v of
+    ``model.edges()``, and ``unary`` is (n, k); both hold +inf on padded
+    labels.  ``msg`` has one row per directed message: row e
     carries u->v over v's labels, row E + e carries v->u over u's labels, and
     the last row is -0.0, which adds exactly nothing and pads ``incoming``,
     each node's incoming message rows in ascending neighbor order.  Padded
@@ -218,114 +233,120 @@ class _TrwsRun:
         n = model.num_nodes
         counts = np.array(model.label_counts, dtype=np.int64)
         k = int(counts.max(initial=1))
-        by_arity: tuple[list[Factor], ...] = ([], [], [])
-        for f in model.factors:
-            by_arity[len(f.scope)].append(f)
-        constants, unaries, pairs = by_arity
+        num_edges = sum(len(g.scopes) for g in model.groups if g.arity == 2)
+        first_edge = model.num_factors - num_edges
         self.valid = np.arange(k) < counts[:, None]
         self.unary = np.where(self.valid, 0.0, np.inf)
-        for f in unaries:
-            self.unary[f.scope[0], : f.table.size] = f.table
-        edges = [f.scope for f in pairs]
-        num_edges = len(edges)
-        self.eu = np.array([u for u, _ in edges], dtype=np.int64)
-        self.ev = np.array([v for _, v in edges], dtype=np.int64)
+        self.eu = np.empty(num_edges, dtype=np.int64)
+        self.ev = np.empty(num_edges, dtype=np.int64)
         self.tables = np.full((num_edges, k, k), np.inf)
-        for e, f in enumerate(pairs):
-            self.tables[e, : f.table.shape[0], : f.table.shape[1]] = f.table
+        constants: list[float] = []
+        unary_nodes = [np.empty(0, dtype=np.int64)]
+        for g in model.groups:
+            if g.arity == 0:
+                constants = g.tables.tolist()
+            elif g.arity == 1:
+                self.unary[g.scopes[:, 0], : g.tables.shape[1]] = g.tables
+                unary_nodes.append(g.scopes[:, 0])
+            else:
+                e = g.positions - first_edge
+                self.eu[e], self.ev[e] = g.scopes.T
+                self.tables[e, : g.tables.shape[1], : g.tables.shape[2]] = g.tables
+        eu, ev = self.eu, self.ev
         self.msg = np.zeros((2 * num_edges + 1, k))
         self.msg[-1] = -0.0
         self.fwd = self.msg[:num_edges]
         self.bwd = self.msg[num_edges : 2 * num_edges]
 
-        later: list[list[int]] = [[] for _ in range(n)]  # edge ids to later neighbors
-        earlier: list[list[int]] = [[] for _ in range(n)]  # edge ids from earlier ones
-        for e, (u, v) in enumerate(edges):
-            later[u].append(e)
-            earlier[v].append(e)
-        self.incoming = _padded(
-            [earlier[v] + [num_edges + e for e in later[v]] for v in range(n)], 2 * num_edges
-        )
-        self.degree = np.array([len(earlier[v]) + len(later[v]) for v in range(n)], dtype=np.int64)
-        weight = [max(len(later[v]), len(earlier[v]), 1) for v in range(n)]
-        self.weight = np.array(weight, dtype=np.float64)[:, None]
+        # Incoming rows per node: the messages from earlier neighbors (edge
+        # order), then those from later ones.  Edges are sorted by (u, v).
+        receiver = np.concatenate((ev, eu))
+        order = np.argsort(receiver, kind="stable")
+        self.incoming = _rows(receiver[order], order, n, 2 * num_edges)
+        num_earlier = np.bincount(ev, minlength=n)
+        num_later = np.bincount(eu, minlength=n)
+        self.degree = num_earlier + num_later
+        weight = np.maximum(np.maximum(num_later, num_earlier), 1)
+        self.weight = weight.astype(np.float64)[:, None]
 
+        # Levels by one pass over the edges: ascending senders forward,
+        # descending receivers backward.
         forward_level = [0] * n
-        for v in range(n):
-            forward_level[v] = 1 + max((forward_level[edges[e][0]] for e in earlier[v]), default=-1)
+        for u, v in zip(eu.tolist(), ev.tolist()):
+            if forward_level[u] >= forward_level[v]:
+                forward_level[v] = forward_level[u] + 1
         backward_level = [0] * n
-        for v in range(n - 1, -1, -1):
-            backward_level[v] = 1 + max((backward_level[edges[e][1]] for e in later[v]), default=-1)
+        by_receiver = np.argsort(ev, kind="stable")
+        for u, v in zip(eu[by_receiver[::-1]].tolist(), ev[by_receiver[::-1]].tolist()):
+            if backward_level[v] >= backward_level[u]:
+                backward_level[u] = backward_level[v] + 1
+        forward_level = np.array(forward_level, dtype=np.int64)
+        backward_level = np.array(backward_level, dtype=np.int64)
+        num_forward = int(forward_level.max(initial=-1)) + 1
+        num_backward = int(backward_level.max(initial=-1)) + 1
 
-        forward_groups = _by_level(forward_level)
+        # Forward: a level's senders, each with its edges to later neighbors.
         self.forward_levels = []
-        for nodes in forward_groups:
-            senders = [v for v in nodes if later[v]]
-            if senders:
-                edges = [e for v in senders for e in later[v]]
-                pos = [i for i, v in enumerate(senders) for _ in later[v]]
-                self.forward_levels.append(self._batch(senders, edges, pos, self.tables, self.ev))
+        for edges in _by_key(forward_level[eu], num_forward):
+            if edges.size:
+                sender = eu[edges]  # ascending, like the edges
+                first = np.append(True, sender[1:] != sender[:-1])
+                self.forward_levels.append(
+                    self._batch(sender[first], edges, np.cumsum(first) - 1, self.tables, ev)
+                )
 
         # The bound's terms in node-by-node order: v from last to first, the
         # term of the chains starting at v, then one constant per earlier
         # neighbor.  Slot 0 holds the constant factors, which no sweep
         # writes (0.0 without any).
-        start_slot: dict[int, int] = {}
-        edge_slot = [0] * num_edges
-        slot = 1
-        for v in range(n - 1, -1, -1):
-            if weight[v] > len(earlier[v]):
-                start_slot[v] = slot
-                slot += 1
-            for e in earlier[v]:
-                edge_slot[e] = slot
-                slot += 1
-        self.terms = np.zeros(slot)
-        self.terms[0] = sum(float(f.table) for f in constants)
+        has_start = weight > num_earlier
+        slots = has_start + num_earlier
+        first_slot = 1 + slots.sum() - np.cumsum(slots)  # a chain start takes the first
+        edge_rank = np.arange(num_edges) - (np.cumsum(num_earlier) - num_earlier)[ev[by_receiver]]
+        edge_slot = np.empty(num_edges, dtype=np.int64)
+        edge_slot[by_receiver] = (first_slot + has_start)[ev[by_receiver]] + edge_rank
+        self.terms = np.zeros(1 + int(slots.sum()))
+        self.terms[0] = sum(constants)
         tables_t = self.tables.transpose(0, 2, 1).copy()
+
+        # Each level's edges from earlier neighbors, by receiver, then edge.
+        def receives(level, num):
+            return _by_key(level[ev[by_receiver]], num, by_receiver)
+
         self.backward_levels = []
-        for nodes in _by_level(backward_level):
-            edges = [e for v in nodes for e in earlier[v]]
-            pos = [i for i, v in enumerate(nodes) for _ in earlier[v]]
-            starts = [i for i, v in enumerate(nodes) if v in start_slot]
+        for nodes, edges in zip(_by_key(backward_level, num_backward), receives(backward_level, num_backward)):
+            pos = np.searchsorted(nodes, ev[edges])
+            starts = np.flatnonzero(has_start[nodes])
             self.backward_levels.append((
-                self._batch(nodes, edges, pos, tables_t, self.eu),
-                np.array(starts, dtype=np.int64),
-                np.array([weight[nodes[i]] - len(earlier[nodes[i]]) for i in starts], dtype=np.float64),
-                np.array([start_slot[nodes[i]] for i in starts], dtype=np.int64),
-                np.array([edge_slot[e] for e in edges], dtype=np.int64),
+                self._batch(nodes, edges, pos, tables_t, eu),
+                starts,
+                (weight - num_earlier)[nodes[starts]].astype(np.float64),
+                first_slot[nodes[starts]],
+                edge_slot[edges],
             ))
 
         self.rounding_levels = []
-        for nodes in forward_groups:
-            edges = [e for v in nodes for e in earlier[v]]
-            rows, first = [], 0
-            for v in nodes:
-                rows.append(list(range(first, first + len(earlier[v]))))
-                first += len(earlier[v])
-            edges_arr = np.array(edges, dtype=np.int64)
-            self.rounding_levels.append(
-                (np.array(nodes, dtype=np.int64), edges_arr, self.eu[edges_arr], _padded(rows, len(edges)))
-            )
+        for nodes, edges in zip(_by_key(forward_level, num_forward), receives(forward_level, num_forward)):
+            owner = np.searchsorted(nodes, ev[edges])
+            rows = _rows(owner, np.arange(len(edges)), len(nodes), len(edges))
+            self.rounding_levels.append((nodes, edges, eu[edges], rows))
 
         # energy(model, x) sums from 0.0 over the factors in stored order:
         # the constant, then the unaries by node, then the edges.
-        self.energy_head = np.array([0.0] + [float(f.table) for f in constants])
-        self.unary_nodes = np.array([f.scope[0] for f in unaries], dtype=np.int64)
+        self.energy_head = np.array([0.0] + constants)
+        self.unary_nodes = np.sort(np.concatenate(unary_nodes))
 
     def _batch(self, nodes, edges, pos, tables, receivers):
         """One level's gathered constants: the nodes' unaries, incoming rows
         and weights; its edges, each edge's sender position among the nodes,
         the edges' tables oriented sender first, and the receivers' labels."""
-        nodes = np.array(nodes, dtype=np.int64)
-        edges = np.array(edges, dtype=np.int64)
         width = int(self.degree[nodes].max(initial=0))
         return (
             self.unary[nodes],
             self.incoming[nodes, :width],
             self.weight[nodes],
             edges,
-            np.array(pos, dtype=np.int64),
+            pos,
             tables[edges],
             self.valid[receivers[edges]],
         )
@@ -410,7 +431,7 @@ class _TrwsRun:
         t_v = unaries[ev] / self.weight[ev] - self.fwd
         m = t_u[:, :, None] + self.tables + t_v[:, None, :]
         lo = m.min(axis=(1, 2))
-        high = lo + 1e-7 * (1.0 + np.abs(lo))
+        high = lo + PAIR_MARGINAL_SLACK * (1.0 + np.abs(lo))
         cu, cv = cand[eu], cand[ev]
         e = np.arange(len(eu))
         iu, iv = np.maximum(cu, 0), np.maximum(cv, 0)
@@ -466,7 +487,7 @@ def solve_trws(model: GraphicalModel, stop: StopRule | None = None) -> SolverOut
     if all(l is not None for l in labels):
         x = tuple(labels)  # type: ignore[arg-type]
         ex = energy(model, x)
-        if not energies_close(ex, best_bound, 1e-7):
+        if not energies_close(ex, best_bound, CERTIFY_TOL):
             # Cannot certify optimality: refuse to commit anything.
             labels = tuple([None] * model.num_nodes)
 

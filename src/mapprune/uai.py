@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import UaiParseError
-from .model import Factor, GraphicalModel
+from .model import GraphicalModel
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     out = []
@@ -118,11 +118,18 @@ def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
         raise UaiParseError(f"trailing content {tok!r}", ln)
     if values == "probability":
         tables = _probability_costs(tables)
-    factors = []
+    by_shape: dict[tuple[int, ...], tuple[list, list]] = {}
     for scope, arr in zip(scopes, tables):
         order = sorted(range(len(scope)), key=lambda p: scope[p])
-        factors.append(Factor(tuple(sorted(scope)), np.transpose(arr, order)))
-    return GraphicalModel(cards, factors)
+        table = np.transpose(arr, order)
+        block = by_shape.setdefault(table.shape, ([], []))
+        block[0].append(sorted(scope))
+        block[1].append(table)
+    blocks = [
+        (np.array(s, dtype=np.int64).reshape(len(s), len(shape)), np.array(t))
+        for shape, (s, t) in by_shape.items()
+    ]
+    return GraphicalModel.from_arrays(cards, blocks)
 
 
 def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:

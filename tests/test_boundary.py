@@ -16,7 +16,7 @@ from mapprune import (
     energy,
     restricted_energy,
 )
-from conftest import random_pairwise
+from conftest import random_pairwise, random_with_ternary
 
 
 def three_chain() -> GraphicalModel:
@@ -275,3 +275,155 @@ class TestPottsArgminInvariance:
             e_orig = np.array([energy(a_orig.model, x) for x in space])
             e_opt = np.array([energy(a_opt.model, x) for x in space])
             assert np.allclose(e_orig - e_orig.min(), e_opt - e_opt.min(), atol=1e-9)
+
+
+# -- the per-factor reference ----------------------------------------------
+# The Factor-by-Factor builder that the grouped arrays replaced, kept as the
+# reference for byte identity.  It returns (scope, table) pairs in (arity,
+# scope) order, with repeated scopes added in input order.
+
+
+def _reference_merge(pairs):
+    merged = {}
+    for scope, table in pairs:
+        merged[scope] = merged[scope] + table if scope in merged else np.array(table, dtype=float)
+    return [(s, merged[s]) for s in sorted(merged, key=lambda s: (len(s), s))]
+
+
+def _reference_potential(f, inside, y, mode):
+    ins_pos = [p for p, v in enumerate(f.scope) if v in inside]
+    out_pos = [p for p, v in enumerate(f.scope) if v not in inside]
+    ins_scope = tuple(f.scope[p] for p in ins_pos)
+    arr = np.transpose(f.table, ins_pos + out_pos)
+    k_ins = arr.shape[: len(ins_pos)]
+    flat = arr.reshape(int(np.prod(k_ins)), -1)
+    y_flat = np.ravel_multi_index(tuple(y.label_of(v) for v in ins_scope), k_ins)
+    if mode == "optimal":
+        flat = flat - flat[y_flat]
+    table = flat.min(axis=1)
+    table[y_flat] = flat[y_flat].max()
+    return ins_scope, table.reshape(k_ins)
+
+
+def reference_augmented(model, nodes, y, mode="original"):
+    """Inside factors in stored order, then each straddling factor's
+    boundary table in stored order, merged per scope."""
+    node_list = sorted(set(nodes))
+    inside = set(node_list)
+    local = {v: i for i, v in enumerate(node_list)}
+    pairs = [
+        (tuple(local[v] for v in f.scope), f.table)
+        for f in model.factors
+        if all(v in inside for v in f.scope)
+    ]
+    for f in model.factors:
+        if any(v in inside for v in f.scope) and not all(v in inside for v in f.scope):
+            scope, table = _reference_potential(f, inside, y, mode)
+            pairs.append((tuple(local[v] for v in scope), table))
+    return _reference_merge(pairs)
+
+
+def reference_gamma(model, nodes, y):
+    node_list = sorted(set(nodes))
+    full = PartialLabeling(tuple(range(model.num_nodes)), y)
+    out = []
+    for scope, table in reference_augmented(model, nodes, full, "optimal"):
+        scope = tuple(node_list[i] for i in scope)
+        out.append((scope, table - table[tuple(y[v] for v in scope)]))
+    return out
+
+
+def reference_energy(model, x):
+    total = 0.0
+    for f in model.factors:
+        total += float(f.table[tuple(x[v] for v in f.scope)])
+    return total
+
+
+def _as_bytes(model):
+    return [(f.scope, f.table.shape, f.table.tobytes()) for f in model.factors]
+
+
+def _reference_bytes(pairs):
+    return [(s, np.shape(t), np.ascontiguousarray(t).tobytes()) for s, t in pairs]
+
+
+def _core_models(rng):
+    """Seeded models covering every group layout the builders meet."""
+    models = [random_pairwise(rng, n_lo=3, n_hi=7) for _ in range(8)]
+    models += [random_pairwise(rng, n_lo=3, n_hi=7, mixed_labels=True) for _ in range(8)]
+    models += [random_with_ternary(rng) for _ in range(6)]
+    # a constant factor, nodes without a unary, and signed zeros in the tables
+    counts = [2, 3, 2, 4, 3]
+    factors = [Factor((), 1.5), Factor((1,), [0.0, -0.0, 1.0]), Factor((3,), [-0.0, 0.0, 2.0, -1.0])]
+    for u, v in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4)]:
+        table = np.round(rng.uniform(-1, 1, (counts[u], counts[v])) * 2) / 2
+        factors.append(Factor((u, v), np.where(table == 0, -0.0, table)))
+    models.append(GraphicalModel(counts, factors))
+    return models
+
+
+class TestGroupedCoreMatchesReference:
+    def test_augmented_models(self, rng):
+        for m in _core_models(rng):
+            for _ in range(6):
+                inside = [v for v in range(m.num_nodes) if rng.uniform() < 0.6]
+                y = PartialLabeling(
+                    tuple(range(m.num_nodes)),
+                    tuple(int(rng.integers(k)) for k in m.label_counts),
+                )
+                for mode in ("original", "optimal") if m.is_pairwise else ("original",):
+                    aug = build_augmented_model(m, inside, y, mode)
+                    assert _as_bytes(aug.model) == _reference_bytes(
+                        reference_augmented(m, inside, y, mode)
+                    )
+
+    def test_gamma_models(self, rng):
+        for m in _core_models(rng):
+            if not m.is_pairwise:
+                continue
+            for _ in range(4):
+                inside = [v for v in range(m.num_nodes) if rng.uniform() < 0.6]
+                y = tuple(int(rng.integers(k)) for k in m.label_counts)
+                gamma = build_gamma_model(m, inside, y)
+                assert _as_bytes(gamma.model) == _reference_bytes(reference_gamma(m, inside, y))
+
+    def test_energy_sums_in_factor_order(self, rng):
+        for m in _core_models(rng):
+            inside = [v for v in range(m.num_nodes) if rng.uniform() < 0.7]
+            y = PartialLabeling(
+                tuple(range(m.num_nodes)), tuple(int(rng.integers(k)) for k in m.label_counts)
+            )
+            aug = build_augmented_model(m, inside, y)
+            for model in (m, aug.model):
+                for _ in range(10):
+                    x = [int(rng.integers(k)) for k in model.label_counts]
+                    assert energy(model, x).hex() == reference_energy(model, x).hex()
+
+    def test_merges_add_in_input_order(self):
+        tables = [np.array([0.1, 1e16]), np.array([0.2, 1.0]), np.array([0.3, 1.0])]
+        m = GraphicalModel([2], [Factor((0,), t) for t in tables])
+        want = (tables[0] + tables[1]) + tables[2]
+        assert m.factors[0].table.tobytes() == want.tobytes()
+
+    def test_given_factors_are_kept(self):
+        m = three_chain()
+        given = [Factor((1, 2), [[1, 0], [0, 3]]), Factor((0,), [0.0, 1.0])]
+        model = GraphicalModel([2, 2, 2], given)
+        assert model.factors[0] is given[1] and model.factors[1] is given[0]
+        assert m == GraphicalModel(m.label_counts, reversed(m.factors))
+
+    def test_array_paths_build_no_factor_objects(self, rng, monkeypatch):
+        from mapprune.solvers import _TrwsRun
+
+        built = []
+        original_post_init = Factor.__post_init__
+        monkeypatch.setattr(Factor, "__post_init__", lambda f: built.append(f) or original_post_init(f))
+        monkeypatch.setattr(Factor, "_of_row", classmethod(lambda cls, *a: built.append(a)))
+        m = random_pairwise(rng, n_lo=6, n_hi=6)
+        built.clear()
+        y = PartialLabeling(tuple(range(6)), (0,) * 6)
+        aug = build_augmented_model(m, [0, 1, 2, 4], y)
+        energy(aug.model, [0] * 4)
+        _TrwsRun(aug.model)
+        assert built == []

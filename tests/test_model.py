@@ -74,6 +74,28 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             m.factors[0].table[0] = 9.0
 
+    def test_from_arrays_checks_like_factors(self):
+        good = GraphicalModel.from_arrays(
+            [2, 3], [([[0, 1]], np.zeros((1, 2, 3))), ([[1]], [[1.0, 2.0, 3.0]]), ([[0]], [[4.0, 5.0]])]
+        )
+        assert [f.scope for f in good.factors] == [(0,), (1,), (0, 1)]
+        assert good == GraphicalModel(good.label_counts, good.factors)
+        for scopes, tables in [
+            ([[1, 0]], np.zeros((1, 3, 2))),  # unsorted scope
+            ([[0, 2]], np.zeros((1, 2, 2))),  # node out of range
+            ([[-1]], np.zeros((1, 2))),
+            ([[0, 1]], np.zeros((1, 2, 2))),  # shape != label counts
+            ([[0]], [[0.0, np.nan]]),
+            ([0, 1], np.zeros((2, 2))),  # scopes not one row per factor
+            ([[0], [1]], np.zeros((1, 2))),
+        ]:
+            with pytest.raises(DomainError):
+                GraphicalModel.from_arrays([2, 3], [(scopes, tables)])
+
+    def test_empty_blocks_add_no_group(self):
+        m = GraphicalModel.from_arrays([2], [([[0]], [[1.0, 2.0]]), (np.zeros((0, 2)), np.zeros((0, 2, 2)))])
+        assert m.max_arity == 1 and len(m.groups) == 1
+
 
 class TestRestrictedEnergy:
     def test_single_node_restriction(self):

@@ -33,3 +33,27 @@ def test_traced_names_resolve(monkeypatch):
 
 def test_exported_names_exist():
     assert [name for name in mapprune.__all__ if not hasattr(mapprune, name)] == []
+
+
+def test_extractors_read_real_outputs(monkeypatch):
+    """The tracer's augment and trws extractors on a real augmented model and
+    solver output: the factor count is the reference builder's, so the
+    per-layer factors_built count keeps its meaning."""
+    from test_boundary import reference_augmented
+
+    tracing = _load_tracing(monkeypatch)
+    m = mapprune.generate(mapprune.InstanceSpec(
+        kind="potts-grid", height=6, width=6, labels=3,
+        coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=3,
+    ))
+    nodes = [v for v in range(m.num_nodes) if v % 5]
+    y = mapprune.PartialLabeling(tuple(range(m.num_nodes)), (1,) * m.num_nodes)
+    aug = mapprune.build_augmented_model(m, nodes, y)
+    info = tracing._augment_info((m, nodes, y), {}, aug)
+    assert info == {"factors": len(reference_augmented(m, nodes, y))}
+    out = mapprune.solve_trws(aug.model)
+    assert tracing._trws_info((aug.model,), {}, out) == {
+        "passes": out.iterations,
+        "committed": len(out.committed_nodes),
+        "nodes": len(nodes),
+    }

@@ -1,9 +1,12 @@
-"""Golden regression for the message-passing solver.
+"""Golden regression for the message-passing solver and the pruning loop.
 
 The literals are the exact outputs of the node-by-node implementation that
 the level-batched one replaced; the sweeps, the bound's summation order, the
-rounding and the commitments must reproduce them bit for bit.
+rounding and the commitments must reproduce them bit for bit.  The prune
+digest pins whole pruning runs the same way.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from mapprune import (
     InstanceSpec,
     StopRule,
     generate,
+    prune,
     solve_bruteforce,
     solve_trws,
 )
@@ -121,3 +125,29 @@ def test_mixed_counts_bound_and_messages():
     out = solve_trws(m, CASES["mixed"][1])
     _, value, _ = solve_bruteforce(m)
     assert out.objective_bound <= value
+
+
+def _prune_digest(result) -> str:
+    h = hashlib.sha256()
+    h.update(repr(result.a_star).encode())
+    h.update(repr(result.x_star.labels).encode())
+    for r in result.trace:
+        h.update(repr((
+            r.t, r.domain, r.test_labels, r.boundary_size, r.disagreeing,
+            r.fractional_pruned, r.solver_iterations, r.certificate, r.test_energy.hex(),
+        )).encode())
+    return h.hexdigest()
+
+
+def test_prune_golden_digest():
+    """A*, x* and every trace record of the first five criterion-6 grids
+    under trws, as recorded before the grouped model core replaced the
+    per-factor one (augmented models, energies and the solver's set-up)."""
+    h = hashlib.sha256()
+    for seed in range(5):
+        m = generate(InstanceSpec(
+            kind="potts-grid", height=20, width=20, labels=4,
+            coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=seed,
+        ))
+        h.update(_prune_digest(prune(m, solver="trws")).encode())
+    assert h.hexdigest() == "a271095af021a281fcfaf59e8d89e3bb8b2e8658618b99ff53c7a0e811194677"
