@@ -5,13 +5,19 @@ arity holding dense cost tables.  All energies are to be minimized.  Every
 type in this module is immutable after construction and safe to share across
 threads; a model's ``factors`` tuple may be built on first read, and two
 threads reading it first at once may each build an equal one.
+
+The model stores its factors as stacked groups (``FactorGroup``), and every
+operation here works on those arrays: energies are one gather per group, and
+a reparametrization is a pair of (edges, labels) message arrays applied with
+one broadcast per pairwise group.  Only the constructor and the ``factors``
+view touch ``Factor`` objects.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -286,12 +292,21 @@ class GraphicalModel:
         return self._index_of_scope.get(tuple(int(v) for v in scope))
 
     def unary_table(self, v: int) -> np.ndarray | None:
-        i = self.factor_index((v,))
-        return None if i is None else self.factors[i].table
+        for g in self.groups:
+            if g.arity == 1:
+                i = int(np.searchsorted(g.scopes[:, 0], v))
+                if i < len(g.scopes) and g.scopes[i, 0] == v:
+                    return g.tables[i]
+        return None
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted scopes of all pairwise factors."""
         return [tuple(s) for s in self._scopes(2).tolist()]
+
+    def edge_groups(self) -> list[tuple[FactorGroup, np.ndarray]]:
+        """Each pairwise group with its rows' indices into ``edges()``."""
+        first = sum(len(g.scopes) for g in self.groups if g.arity < 2)
+        return [(g, g.positions - first) for g in self.groups if g.arity == 2]
 
     def neighbors(self, v: int) -> list[int]:
         """Nodes sharing a pairwise factor with v (sorted, unique)."""
@@ -405,68 +420,64 @@ class PartialLabeling:
         return len(self.domain)
 
 
+def _message_shape(model: GraphicalModel) -> tuple[int, int]:
+    return len(model._scopes(2)), max(model.label_counts, default=1)
+
+
 @dataclass(frozen=True)
 class Reparametrization:
     """Message-like shifts that preserve the energy of every labeling.
 
-    ``messages[(u, v)]`` is the message sent from u into v along pairwise edge
-    uv: a vector over the labels of v.  It is subtracted from v's unary and
-    added back onto the edge table, so each labeling's energy is unchanged.
-    Both directions of every pairwise edge must be present.
+    Both arrays are (E, k): row e belongs to the e-th pairwise edge (u, v)
+    of ``model.edges()`` and k is the model's largest label count.  Row e
+    of ``forward`` is the message from u into v, over v's labels; row e of
+    ``backward`` the message from v into u, over u's labels; entries past
+    the receiver's label count are ignored.  A message is subtracted from
+    its receiver's unary and added back onto the edge table, so each
+    labeling's energy is unchanged.
     """
 
-    messages: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    forward: np.ndarray
+    backward: np.ndarray
 
     def __post_init__(self):
-        frozen = {}
-        for (u, v), vec in self.messages.items():
-            arr = _frozen_array(vec)
-            if arr.ndim != 1 or not np.isfinite(arr).all():
-                raise DomainError(f"message {u}->{v} must be a finite vector")
-            frozen[(int(u), int(v))] = arr
-        object.__setattr__(self, "messages", frozen)
+        for name in ("forward", "backward"):
+            arr = _frozen_array(getattr(self, name))
+            if arr.ndim != 2 or not np.isfinite(arr).all():
+                raise DomainError(f"{name} messages must be a finite (edges, labels) array")
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def zero(cls, model: GraphicalModel) -> "Reparametrization":
-        msgs = {}
-        for (u, v) in model.edges():
-            msgs[(u, v)] = np.zeros(model.label_counts[v])
-            msgs[(v, u)] = np.zeros(model.label_counts[u])
-        return cls(msgs)
+        shape = _message_shape(model)
+        return cls(np.zeros(shape), np.zeros(shape))
 
     def validate(self, model: GraphicalModel) -> None:
-        expected = set()
-        for (u, v) in model.edges():
-            expected.add((u, v))
-            expected.add((v, u))
-        got = set(self.messages)
-        if got != expected:
-            missing = expected - got
-            extra = got - expected
+        shape = _message_shape(model)
+        if self.forward.shape != shape or self.backward.shape != shape:
             raise DomainError(
-                f"reparametrization keys mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
+                f"message arrays {self.forward.shape} and {self.backward.shape}, expected {shape}"
             )
-        for (u, v), vec in self.messages.items():
-            if vec.shape != (model.label_counts[v],):
-                raise DomainError(
-                    f"message {u}->{v} has length {vec.shape[0]}, expected {model.label_counts[v]}"
-                )
 
 
 # -- operations -----------------------------------------------------------
 
 
-def energy(model: GraphicalModel, x: Labeling) -> float:
-    """Total cost of a full labeling: plain floating sum in stored factor order.
-
-    One gather per factor group; ``np.cumsum`` then adds the values one by
-    one from 0.0 in (arity, scope) order (``np.sum`` would add pairwise).
-    """
-    labels = np.array(model.validate_labeling(x), dtype=np.int64)
+def _sum_in_order(model: GraphicalModel, labels: np.ndarray, inside: np.ndarray | None = None) -> float:
+    """The factors' values at ``labels``, one gather per group, summed by
+    ``np.cumsum`` one by one from 0.0 in (arity, scope) order (``np.sum``
+    would add pairwise).  With an ``inside`` node mask, only the factors
+    whose scope lies in it count; the others add 0.0, which changes no sum."""
     terms = np.zeros(model.num_factors + 1)
     for g in model.groups:
-        terms[g.positions + 1] = g.tables[(np.arange(len(g.scopes)), *labels[g.scopes].T)]
+        rows = np.arange(len(g.scopes)) if inside is None else np.flatnonzero(inside[g.scopes].all(axis=1))
+        terms[g.positions[rows] + 1] = g.tables[(rows, *labels[g.scopes[rows]].T)]
     return float(np.cumsum(terms)[-1])
+
+
+def energy(model: GraphicalModel, x: Labeling) -> float:
+    """Total cost of a full labeling: plain floating sum in stored factor order."""
+    return _sum_in_order(model, np.array(model.validate_labeling(x), dtype=np.int64))
 
 
 def restricted_energy(model: GraphicalModel, nodes: Iterable[int], x: PartialLabeling) -> float:
@@ -474,18 +485,17 @@ def restricted_energy(model: GraphicalModel, nodes: Iterable[int], x: PartialLab
 
     ``x`` must assign a label to every node of ``nodes`` (it may cover more).
     """
-    subset = set(int(v) for v in nodes)
-    if not subset <= set(range(model.num_nodes)):
+    subset = sorted(set(int(v) for v in nodes))
+    if subset and (subset[0] < 0 or subset[-1] >= model.num_nodes):
         raise DomainError("node subset outside model range")
     if not x.covers(subset):
         raise DomainError("partial labeling does not cover the requested subset")
     x.validate(model)
-    assign = x.as_mapping()
-    total = 0.0
-    for f in model.factors:
-        if all(v in subset for v in f.scope):
-            total += float(f.table[tuple(assign[v] for v in f.scope)])
-    return total
+    inside = np.zeros(model.num_nodes, dtype=bool)
+    inside[subset] = True
+    labels = np.zeros(model.num_nodes, dtype=np.int64)
+    labels[list(x.domain)] = x.labels
+    return _sum_in_order(model, labels, inside)
 
 
 def concatenate(model: GraphicalModel, x0: PartialLabeling, xt: PartialLabeling) -> tuple[int, ...]:
@@ -507,37 +517,43 @@ def apply_reparametrization(model: GraphicalModel, phi: Reparametrization) -> Gr
 
     theta'_v(x_v)      = theta_v(x_v) - sum_{u in nb(v)} phi[u->v](x_v)
     theta'_uv(x_u,x_v) = theta_uv(x_u,x_v) + phi[u->v](x_v) + phi[v->u](x_u)
+
+    A node's incoming messages add up in edge order, from -0.0 (which adds
+    exactly nothing).  A node without a unary gains one where they are not
+    all zero.
     """
     if not model.is_pairwise:
         raise UnsupportedArityError("reparametrization is defined for pairwise models only")
     phi.validate(model)
+    counts = np.array(model.label_counts, dtype=np.int64)
+    edges = model._scopes(2)
+    # In edge order, a node's earlier neighbors (the forward messages into
+    # it) all come before its later ones (the backward messages).
+    incoming = np.full((model.num_nodes, phi.forward.shape[1]), -0.0)
+    receivers = np.concatenate((edges[:, 1], edges[:, 0]))
+    np.add.at(incoming, receivers, np.concatenate((phi.forward, phi.backward)))
+    # Where no message arrives, subtract 0.0, which keeps a unary's -0.0.
+    incoming[np.bincount(receivers, minlength=model.num_nodes) == 0] = 0.0
 
-    new_factors: list[Factor] = []
-    incoming: dict[int, np.ndarray] = {}
-    for (u, v), vec in phi.messages.items():
-        if v in incoming:
-            incoming[v] = incoming[v] + vec
-        else:
-            incoming[v] = vec.copy()
-
-    seen_unary = set()
-    for f in model.factors:
-        if f.arity == 0:
-            new_factors.append(f)
-        elif f.arity == 1:
-            v = f.scope[0]
-            seen_unary.add(v)
-            table = f.table - incoming.get(v, 0.0)
-            new_factors.append(Factor(f.scope, table))
-        elif f.arity == 2:
-            u, v = f.scope
-            table = f.table + phi.messages[(u, v)][None, :] + phi.messages[(v, u)][:, None]
-            new_factors.append(Factor(f.scope, table))
-    # Nodes with messages but no unary factor gain one so energies balance.
-    for v, vec in incoming.items():
-        if v not in seen_unary and np.any(vec != 0.0):
-            new_factors.append(Factor((v,), -vec))
-    return GraphicalModel(model.label_counts, new_factors)
+    blocks = []
+    has_unary = np.zeros(model.num_nodes, dtype=bool)
+    for g in model.groups:
+        if g.arity == 0:
+            blocks.append((g.scopes, g.tables))
+        elif g.arity == 1:
+            has_unary[g.scopes[:, 0]] = True
+            blocks.append((g.scopes, g.tables - incoming[g.scopes[:, 0], : g.tables.shape[1]]))
+    for g, e in model.edge_groups():
+        ku, kv = g.tables.shape[1:]
+        blocks.append((g.scopes, g.tables + phi.forward[e, None, :kv] + phi.backward[e, :ku, None]))
+    nonzero = ((incoming != 0.0) & (np.arange(incoming.shape[1]) < counts[:, None])).any(axis=1)
+    gains = np.flatnonzero(nonzero & ~has_unary)
+    # Not np.unique: its first call in a process leaves about 0.5 MB on the
+    # heap, between the blocks that the LP solves free and reuse.
+    for k in sorted(set(counts[gains].tolist())):
+        nodes = gains[counts[gains] == k]
+        blocks.append((nodes[:, None], -incoming[nodes, :k]))
+    return GraphicalModel.from_arrays(model.label_counts, blocks)
 
 
 def optimal_reparametrization(model: GraphicalModel, y: Labeling) -> Reparametrization:
@@ -545,12 +561,11 @@ def optimal_reparametrization(model: GraphicalModel, y: Labeling) -> Reparametri
     into v carries the negated edge row theta_uv(y_u, .)."""
     if not model.is_pairwise:
         raise UnsupportedArityError("optimal reparametrization needs a pairwise model")
-    ys = model.validate_labeling(y)
-    msgs: dict[tuple[int, int], np.ndarray] = {}
-    for f in model.factors:
-        if f.arity != 2:
-            continue
-        u, v = f.scope
-        msgs[(u, v)] = -f.table[ys[u], :]
-        msgs[(v, u)] = -f.table[:, ys[v]]
-    return Reparametrization(msgs)
+    ys = np.array(model.validate_labeling(y), dtype=np.int64)
+    forward, backward = np.zeros(_message_shape(model)), np.zeros(_message_shape(model))
+    for g, e in model.edge_groups():
+        rows = np.arange(len(e))
+        u, v = g.scopes.T
+        forward[e, : g.tables.shape[2]] = -g.tables[rows, ys[u], :]
+        backward[e, : g.tables.shape[1]] = -g.tables[rows, :, ys[v]]
+    return Reparametrization(forward, backward)

@@ -5,16 +5,26 @@ per factor of arity >= 2 (a unary factor's marginal is the node marginal
 itself).  The local polytope is the set of marginals satisfying per-node
 normalization plus, for every factor and every node in its scope,
 marginalization of the factor table onto that node's marginal.
+
+Everything here reads the model's factor groups through one layout of the
+LP (``_layout``).  Its variables are the node blocks, in node order, then
+one block per factor of arity >= 2, in factor order, each holding the
+table's entries in row-major order.  Its rows are one normalization row per
+node, then, per such factor and scope position, one marginalization row per
+label.  ``build_lp``, ``flatten``, ``unflatten``, ``delta``,
+``linear_energy`` and ``constraint_residuals`` all place marginals by it,
+and ``linear_energy`` is the LP objective ``c . flatten(mu)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import GraphicalModel, Labeling
+from .model import FactorGroup, GraphicalModel, Labeling
 
 # Feasibility tolerance for residual checks.
 FEASIBILITY_TOL = 1e-7
@@ -26,71 +36,112 @@ SNAP_TOL = 1e-8
 class Marginals:
     """Pseudo-marginals: per-node vectors plus per-factor tables (arity >= 2).
 
-    ``factor`` is keyed by the factor's index in ``model.factors``.
+    ``factor`` is keyed by the factor's index in ``model.factors``, the
+    (arity, scope) order.
     """
 
     node: tuple[np.ndarray, ...]
     factor: dict[int, np.ndarray]
 
-    def factor_marginal(self, model: GraphicalModel, i: int) -> np.ndarray:
-        f = model.factors[i]
-        if f.arity == 1:
-            return self.node[f.scope[0]]
-        return self.factor[i]
 
-    def committed_label(self, v: int, tol: float = 1e-6) -> int | None:
-        """The label carrying all of v's mass, or None if fractional."""
-        mu = np.where(np.abs(self.node[v]) < SNAP_TOL, 0.0, self.node[v])
-        top = int(np.argmax(mu))
-        if mu[top] >= 1.0 - tol and all(
-            m <= tol or j == top for j, m in enumerate(mu)
-        ):
-            return top
-        return None
+@dataclass(frozen=True)
+class _Layout:
+    """Where the LP keeps each marginal (see the module docstring).
+
+    ``blocks`` holds, per factor group of arity >= 2, the group, its rows'
+    variables (F, table size) and each row's first marginalization row.
+    """
+
+    label_counts: tuple[int, ...]
+    node_offset: tuple[int, ...]
+    num_vars: int
+    num_rows: int
+    blocks: tuple[tuple[FactorGroup, np.ndarray, np.ndarray], ...]
+
+    def flatten(self, mu: Marginals) -> np.ndarray:
+        if [np.shape(vec) for vec in mu.node] != [(k,) for k in self.label_counts]:
+            raise DomainError(
+                f"node marginals of shapes {[np.shape(vec) for vec in mu.node]} "
+                f"do not match the label counts {self.label_counts}"
+            )
+        z = np.zeros(self.num_vars)
+        if mu.node:
+            z[: sum(self.label_counts)] = np.concatenate(mu.node)
+        for g, entries, _ in self.blocks:
+            shape = g.tables.shape[1:]
+            tables = [mu.factor.get(i) for i in g.positions.tolist()]
+            bad = [i for i, t in zip(g.positions.tolist(), tables) if np.shape(t) != shape]
+            if bad:
+                raise DomainError(f"factor {bad[0]} marginal missing or not of shape {shape}")
+            z[entries] = np.reshape(tables, entries.shape)
+        return z
+
+    def unflatten(self, z: np.ndarray) -> Marginals:
+        z = np.asarray(z, dtype=np.float64)
+        node = tuple(z[off : off + k].copy() for off, k in zip(self.node_offset, self.label_counts))
+        factor = {}
+        for g, entries, _ in self.blocks:
+            factor.update(zip(g.positions.tolist(), z[entries].reshape(g.tables.shape)))
+        return Marginals(node, dict(sorted(factor.items())))
 
 
-def _check_shapes(model: GraphicalModel, mu: Marginals) -> None:
-    if len(mu.node) != model.num_nodes:
-        raise DomainError(
-            f"marginals cover {len(mu.node)} nodes, model has {model.num_nodes}"
-        )
-    for v, vec in enumerate(mu.node):
-        if vec.shape != (model.label_counts[v],):
-            raise DomainError(f"node {v} marginal has shape {vec.shape}")
-    for i, f in enumerate(model.factors):
-        if f.arity >= 2:
-            if i not in mu.factor:
-                raise DomainError(f"missing marginal for factor {i} over {f.scope}")
-            if mu.factor[i].shape != f.table.shape:
-                raise DomainError(
-                    f"factor {i} marginal shape {mu.factor[i].shape} != {f.table.shape}"
-                )
+def _layout(model: GraphicalModel) -> _Layout:
+    counts = np.array(model.label_counts, dtype=np.int64)
+    sizes = np.zeros(model.num_factors, dtype=np.int64)
+    rows = np.zeros(model.num_factors, dtype=np.int64)
+    higher = [g for g in model.groups if g.arity >= 2]
+    for g in higher:
+        sizes[g.positions] = math.prod(g.tables.shape[1:])
+        rows[g.positions] = sum(g.tables.shape[1:])
+    first_var = int(counts.sum()) + np.cumsum(sizes) - sizes
+    first_row = model.num_nodes + np.cumsum(rows) - rows
+    return _Layout(
+        label_counts=model.label_counts,
+        node_offset=tuple((np.cumsum(counts) - counts).tolist()),
+        num_vars=int(counts.sum() + sizes.sum()),
+        num_rows=model.num_nodes + int(rows.sum()),
+        blocks=tuple(
+            (g, first_var[g.positions, None] + np.arange(g.tables[0].size), first_row[g.positions])
+            for g in higher
+        ),
+    )
+
+
+def _objective(model: GraphicalModel, layout: _Layout) -> np.ndarray:
+    """The LP's cost vector: unary tables on the node blocks, higher tables
+    on their own blocks, and the constant on node 0's block, which sums to 1
+    on the polytope.  Every table adds onto 0.0, in factor order."""
+    if model.num_nodes == 0:
+        raise DomainError("cannot build an LP for an empty model")
+    node_offset = np.array(layout.node_offset, dtype=np.int64)
+    c = np.zeros(layout.num_vars)
+    for g in model.groups:
+        if g.arity == 0:  # the one merged constant
+            c[: model.label_counts[0]] += g.tables[0]
+        elif g.arity == 1:
+            c[node_offset[g.scopes] + np.arange(g.tables.shape[1])] += g.tables
+    for g, entries, _ in layout.blocks:
+        c[entries] += g.tables.reshape(entries.shape)
+    return c
 
 
 def delta(model: GraphicalModel, x: Labeling) -> Marginals:
     """Indicator marginals of a labeling."""
-    xs = model.validate_labeling(x)
-    node = []
-    for v in range(model.num_nodes):
-        vec = np.zeros(model.label_counts[v])
-        vec[xs[v]] = 1.0
-        node.append(vec)
-    factor = {}
-    for i, f in enumerate(model.factors):
-        if f.arity >= 2:
-            tab = np.zeros(f.table.shape)
-            tab[tuple(xs[v] for v in f.scope)] = 1.0
-            factor[i] = tab
-    return Marginals(tuple(node), factor)
+    xs = np.array(model.validate_labeling(x), dtype=np.int64)
+    layout = _layout(model)
+    z = np.zeros(layout.num_vars)
+    z[np.array(layout.node_offset, dtype=np.int64) + xs] = 1.0
+    for g, entries, _ in layout.blocks:
+        at_x = np.ravel_multi_index(tuple(xs[g.scopes].T), g.tables.shape[1:])
+        z[entries[np.arange(len(entries)), at_x]] = 1.0
+    return layout.unflatten(z)
 
 
 def linear_energy(model: GraphicalModel, mu: Marginals) -> float:
-    """The LP objective <theta, mu> over all factors."""
-    _check_shapes(model, mu)
-    total = 0.0
-    for i, f in enumerate(model.factors):
-        total += float(np.dot(f.table.ravel(), mu.factor_marginal(model, i).ravel()))
-    return total
+    """The LP objective <theta, mu>: ``c . flatten(mu)`` as ``build_lp`` lays
+    it out, the constant factor included."""
+    layout = _layout(model)
+    return float(_objective(model, layout) @ layout.flatten(mu))
 
 
 def constraint_residuals(model: GraphicalModel, mu: Marginals) -> tuple[float, float, float]:
@@ -99,25 +150,19 @@ def constraint_residuals(model: GraphicalModel, mu: Marginals) -> tuple[float, f
     Marginalization residuals compare each factor table summed over all scope
     nodes but one against that node's marginal, for every arity >= 2 factor.
     """
-    _check_shapes(model, mu)
-    norm_res = 0.0
-    min_entry = np.inf
-    for vec in mu.node:
-        norm_res = max(norm_res, abs(float(vec.sum()) - 1.0))
-        min_entry = min(min_entry, float(vec.min()))
+    layout = _layout(model)
+    z = layout.flatten(mu)
+    node_offset = np.array(layout.node_offset, dtype=np.int64)
+    sums = np.add.reduceat(z[: sum(model.label_counts)], node_offset) if model.num_nodes else z[:0]
+    norm_res = float(np.abs(sums - 1.0).max(initial=0.0))
     marg_res = 0.0
-    for i, f in enumerate(model.factors):
-        if f.arity < 2:
-            continue
-        tab = mu.factor[i]
-        min_entry = min(min_entry, float(tab.min()))
-        for pos, v in enumerate(f.scope):
-            axes = tuple(a for a in range(f.arity) if a != pos)
-            projected = tab.sum(axis=axes)
-            marg_res = max(marg_res, float(np.abs(projected - mu.node[v]).max()))
-    if not np.isfinite(min_entry):
-        min_entry = 0.0
-    return norm_res, marg_res, float(min_entry)
+    for g, entries, _ in layout.blocks:
+        tables = z[entries].reshape(g.tables.shape)
+        for pos, k in enumerate(g.tables.shape[1:]):
+            projected = tables.sum(axis=tuple(a + 1 for a in range(g.arity) if a != pos))
+            node = z[node_offset[g.scopes[:, pos]][:, None] + np.arange(k)]
+            marg_res = max(marg_res, float(np.abs(projected - node).max()))
+    return norm_res, marg_res, float(z.min()) if z.size else 0.0
 
 
 def is_feasible(model: GraphicalModel, mu: Marginals, tol: float = FEASIBILITY_TOL) -> bool:
@@ -127,107 +172,34 @@ def is_feasible(model: GraphicalModel, mu: Marginals, tol: float = FEASIBILITY_T
 
 
 @dataclass(frozen=True)
-class PolytopeLP:
-    """Standard-form LP (min c.z s.t. A z = b, z >= 0) over the local polytope.
-
-    Variables are the node marginal entries (node blocks first, in node order)
-    followed by one block per arity >= 2 factor.  Rows are one normalization
-    row per node followed by one marginalization row per
-    (factor, scope position, label) triple.
-    """
+class PolytopeLP(_Layout):
+    """Standard-form LP (min c.z s.t. A z = b, z >= 0) over the local polytope,
+    in the module's variable and row layout.  Redundant rows are kept."""
 
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    node_offset: tuple[int, ...]
-    factor_offset: dict[int, int]
-    num_vars: int
-    label_counts: tuple[int, ...]
-    factor_shapes: dict[int, tuple[int, ...]]
-
-    def flatten(self, mu: Marginals) -> np.ndarray:
-        z = np.zeros(self.num_vars)
-        for v, off in enumerate(self.node_offset):
-            z[off : off + self.label_counts[v]] = mu.node[v]
-        for i, off in self.factor_offset.items():
-            block = mu.factor[i].ravel()
-            z[off : off + block.size] = block
-        return z
-
-    def unflatten(self, z: np.ndarray) -> Marginals:
-        node = []
-        for v, off in enumerate(self.node_offset):
-            vec = np.asarray(z[off : off + self.label_counts[v]], dtype=np.float64).copy()
-            node.append(vec)
-        factor = {}
-        for i, off in self.factor_offset.items():
-            shape = self.factor_shapes[i]
-            size = int(np.prod(shape))
-            factor[i] = np.asarray(z[off : off + size], dtype=np.float64).reshape(shape).copy()
-        return Marginals(tuple(node), factor)
 
 
 def build_lp(model: GraphicalModel) -> PolytopeLP:
     """Assemble the local-polytope constraint system and objective.
 
-    Unary factor costs land on the node variable blocks; each higher-arity
-    factor gets its own variable block tied to the node blocks by
-    marginalization rows.  Redundant rows are kept as-is.
+    Marginalization row (factor, scope position, label) holds +1 on the
+    factor entries with that label and -1 on the node's entry.
     """
-    if model.num_nodes == 0:
-        raise DomainError("cannot build an LP for an empty model")
-
-    node_offset = []
-    off = 0
-    for v in range(model.num_nodes):
-        node_offset.append(off)
-        off += model.label_counts[v]
-    factor_offset: dict[int, int] = {}
-    factor_shapes: dict[int, tuple[int, ...]] = {}
-    for i, f in enumerate(model.factors):
-        if f.arity >= 2:
-            factor_offset[i] = off
-            factor_shapes[i] = f.table.shape
-            off += f.table.size
-    num_vars = off
-
-    # A constant lands on node 0's block, which sums to 1 on the polytope.
-    c = np.zeros(num_vars)
-    for i, f in enumerate(model.factors):
-        if f.arity == 0:
-            c[: model.label_counts[0]] += f.table
-        elif f.arity == 1:
-            v = f.scope[0]
-            c[node_offset[v] : node_offset[v] + model.label_counts[v]] += f.table
-        else:
-            c[factor_offset[i] : factor_offset[i] + f.table.size] += f.table.ravel()
-
-    # One normalization row per node, then per factor and scope position one
-    # row per label: the factor entries with that label minus the node entry.
-    num_rows = model.num_nodes + sum(sum(shape) for shape in factor_shapes.values())
-    a_eq = np.zeros((num_rows, num_vars))
-    b_eq = np.zeros(num_rows)
-    b_eq[: model.num_nodes] = 1.0
-    for v in range(model.num_nodes):
-        a_eq[v, node_offset[v] : node_offset[v] + model.label_counts[v]] = 1.0
-    row = model.num_nodes
-    for i, base in factor_offset.items():
-        f = model.factors[i]
-        entries = base + np.arange(f.table.size)
-        labels = np.indices(f.table.shape).reshape(f.arity, -1)
-        for pos, v in enumerate(f.scope):
-            k = model.label_counts[v]
+    layout = _layout(model)
+    c = _objective(model, layout)
+    n = model.num_nodes
+    node_offset = np.array(layout.node_offset, dtype=np.int64)
+    a_eq = np.zeros((layout.num_rows, layout.num_vars))
+    b_eq = np.zeros(layout.num_rows)
+    b_eq[:n] = 1.0
+    a_eq[np.repeat(np.arange(n), model.label_counts), np.arange(sum(model.label_counts))] = 1.0
+    for g, entries, first_row in layout.blocks:
+        labels = np.indices(g.tables.shape[1:]).reshape(g.arity, -1)
+        row = first_row[:, None]
+        for pos, k in enumerate(g.tables.shape[1:]):
             a_eq[row + labels[pos], entries] = 1.0
-            a_eq[row + np.arange(k), node_offset[v] + np.arange(k)] = -1.0
-            row += k
-
-    return PolytopeLP(
-        c=c,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        node_offset=tuple(node_offset),
-        factor_offset=factor_offset,
-        num_vars=num_vars,
-        label_counts=model.label_counts,
-        factor_shapes=factor_shapes,
-    )
+            a_eq[row + np.arange(k), node_offset[g.scopes[:, pos], None] + np.arange(k)] = -1.0
+            row = row + k
+    return PolytopeLP(**vars(layout), c=c, a_eq=a_eq, b_eq=b_eq)

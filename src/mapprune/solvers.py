@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
 from .model import GraphicalModel, energies_close, energy
-from .polytope import Marginals, build_lp
+from .polytope import SNAP_TOL, Marginals, build_lp
 from .simplex import solve_standard_form
 
 # Default cap on exhaustive enumeration (joint labelings).
@@ -161,14 +161,24 @@ def solve_lp_exact(model: GraphicalModel) -> tuple[Marginals, float, SolverOutpu
     """Optimal vertex of the local polytope via the simplex.
 
     Nodes whose marginal is 0/1 within INTEGRALITY_TOL are committed; the
-    rest are fractional.
+    rest are fractional.  Entries below SNAP_TOL count as 0.
     """
     lp = build_lp(model)
     res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
     mu = lp.unflatten(res.x)
-    labels = tuple(mu.committed_label(v, INTEGRALITY_TOL) for v in range(model.num_nodes))
+    # Every node block as one row, padded with -inf, which neither argmax
+    # nor the thresholds below ever pick.
+    counts = np.array(model.label_counts, dtype=np.int64)
+    node = np.full((model.num_nodes, int(counts.max())), -np.inf)
+    node[np.arange(node.shape[1]) < counts[:, None]] = res.x[: counts.sum()]
+    node[np.abs(node) < SNAP_TOL] = 0.0
+    rows = np.arange(model.num_nodes)
+    top = node.argmax(axis=1)
+    at_top = node[rows, top]
+    node[rows, top] = -np.inf
+    committed = (at_top >= 1.0 - INTEGRALITY_TOL) & (node.max(axis=1) <= INTEGRALITY_TOL)
     out = SolverOutput(
-        labels=labels,
+        labels=tuple(l if c else None for l, c in zip(top.tolist(), committed.tolist())),
         objective_bound=res.value,
         certificate="exact-lp",
         iterations=res.iterations,
@@ -234,7 +244,6 @@ class _TrwsRun:
         counts = np.array(model.label_counts, dtype=np.int64)
         k = int(counts.max(initial=1))
         num_edges = sum(len(g.scopes) for g in model.groups if g.arity == 2)
-        first_edge = model.num_factors - num_edges
         self.valid = np.arange(k) < counts[:, None]
         self.unary = np.where(self.valid, 0.0, np.inf)
         self.eu = np.empty(num_edges, dtype=np.int64)
@@ -248,10 +257,9 @@ class _TrwsRun:
             elif g.arity == 1:
                 self.unary[g.scopes[:, 0], : g.tables.shape[1]] = g.tables
                 unary_nodes.append(g.scopes[:, 0])
-            else:
-                e = g.positions - first_edge
-                self.eu[e], self.ev[e] = g.scopes.T
-                self.tables[e, : g.tables.shape[1], : g.tables.shape[2]] = g.tables
+        for g, e in model.edge_groups():
+            self.eu[e], self.ev[e] = g.scopes.T
+            self.tables[e, : g.tables.shape[1], : g.tables.shape[2]] = g.tables
         eu, ev = self.eu, self.ev
         self.msg = np.zeros((2 * num_edges + 1, k))
         self.msg[-1] = -0.0

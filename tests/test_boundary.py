@@ -414,6 +414,16 @@ class TestGroupedCoreMatchesReference:
         assert m == GraphicalModel(m.label_counts, reversed(m.factors))
 
     def test_array_paths_build_no_factor_objects(self, rng, monkeypatch):
+        from mapprune import (
+            apply_reparametrization,
+            build_lp,
+            constraint_residuals,
+            delta,
+            linear_energy,
+            optimal_reparametrization,
+            prune,
+            solve_lp_exact,
+        )
         from mapprune.solvers import _TrwsRun
 
         built = []
@@ -426,4 +436,16 @@ class TestGroupedCoreMatchesReference:
         aug = build_augmented_model(m, [0, 1, 2, 4], y)
         energy(aug.model, [0] * 4)
         _TrwsRun(aug.model)
+        # The reparametrization, the LP and restricted energies read the groups too.
+        arrays = GraphicalModel.from_arrays(m.label_counts, [(g.scopes, g.tables) for g in m.groups])
+        x = [0] * 6
+        apply_reparametrization(arrays, optimal_reparametrization(arrays, x))
+        build_lp(arrays)
+        solve_lp_exact(arrays)
+        restricted_energy(arrays, [0, 1, 2], y)
+        arrays.unary_table(0)
+        mu = delta(arrays, x)
+        linear_energy(arrays, mu)
+        constraint_residuals(arrays, mu)
+        prune(arrays, solver="exact-lp", mode="optimal")
         assert built == []

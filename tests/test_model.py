@@ -150,9 +150,7 @@ class TestReparametrization:
     def test_worked_example(self):
         # message [1, 1] from node 0 into node 1 on the 2-node chain
         m = chain_model()
-        phi = Reparametrization(
-            {(0, 1): np.array([1.0, 1.0]), (1, 0): np.zeros(2)}
-        )
+        phi = Reparametrization(np.array([[1.0, 1.0]]), np.zeros((1, 2)))
         out = apply_reparametrization(m, phi)
         assert np.array_equal(out.unary_table(0), [0, 1])
         assert np.array_equal(out.unary_table(1), [0, -1])
@@ -166,11 +164,12 @@ class TestReparametrization:
                 # exercise nodes without a unary factor of their own
                 keep = [f for f in m.factors if f.arity != 1 or f.scope[0] % 2 == 0]
                 m = GraphicalModel(m.label_counts, keep)
-            msgs = {}
-            for (u, v) in m.edges():
-                msgs[(u, v)] = rng.normal(size=m.label_counts[v])
-                msgs[(v, u)] = rng.normal(size=m.label_counts[u])
-            phi = Reparametrization(msgs)
+            forward = np.zeros((len(m.edges()), max(m.label_counts)))
+            backward = np.zeros_like(forward)
+            for e, (u, v) in enumerate(m.edges()):
+                forward[e, : m.label_counts[v]] = rng.normal(size=m.label_counts[v])
+                backward[e, : m.label_counts[u]] = rng.normal(size=m.label_counts[u])
+            phi = Reparametrization(forward, backward)
             out = apply_reparametrization(m, phi)
             for x in itertools.product(*[range(k) for k in m.label_counts]):
                 e0, e1 = energy(m, x), energy(out, x)
@@ -185,32 +184,32 @@ class TestReparametrization:
     def test_rejects_higher_order(self):
         m = GraphicalModel([2, 2, 2], [Factor((0, 1, 2), np.zeros((2, 2, 2)))])
         with pytest.raises(UnsupportedArityError):
-            apply_reparametrization(m, Reparametrization({}))
+            apply_reparametrization(m, Reparametrization(np.zeros((0, 2)), np.zeros((0, 2))))
 
     def test_key_validation(self):
         m = chain_model()
         with pytest.raises(DomainError):
-            apply_reparametrization(m, Reparametrization({(0, 1): np.zeros(2)}))
+            apply_reparametrization(m, Reparametrization(np.zeros((1, 2)), np.zeros((0, 2))))
 
 
 class TestOptimalReparametrization:
     def test_asymmetric_example(self):
         m = GraphicalModel([2, 2], [Factor((0, 1), [[5, 0], [6, 1]])])
         psi = optimal_reparametrization(m, (0, 0))
-        assert np.array_equal(psi.messages[(0, 1)], [-5, 0])
-        assert np.array_equal(psi.messages[(1, 0)], [-5, -6])
+        assert np.array_equal(psi.forward[0], [-5, 0])
+        assert np.array_equal(psi.backward[0], [-5, -6])
 
     def test_zero_table(self):
         m = GraphicalModel([2, 2], [Factor((0, 1), np.zeros((2, 2)))])
         psi = optimal_reparametrization(m, (1, 1))
-        assert np.array_equal(psi.messages[(0, 1)], [0, 0])
-        assert np.array_equal(psi.messages[(1, 0)], [0, 0])
+        assert np.array_equal(psi.forward[0], [0, 0])
+        assert np.array_equal(psi.backward[0], [0, 0])
 
     def test_potts_edge(self):
         alpha = 0.7
         m = GraphicalModel([2, 2], [Factor((0, 1), [[0, alpha], [alpha, 0]])])
         psi = optimal_reparametrization(m, (0, 0))
-        assert np.allclose(psi.messages[(0, 1)], [0, -alpha])
+        assert np.allclose(psi.forward[0], [0, -alpha])
 
     def test_reparametrized_unaries_absorb_test_rows(self, rng):
         # After applying the optimal shifts, each unary picks up the edge

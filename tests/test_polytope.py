@@ -52,8 +52,12 @@ class TestDelta:
 
 class TestLinearEnergy:
     def test_matches_energy_on_indicators(self, rng):
-        for _ in range(10):
-            m = random_with_ternary(rng, n_lo=3, n_hi=5)
+        models = (random_with_ternary(rng, n_lo=3, n_hi=5) for _ in range(10))
+        # a constant factor counts on node 0's block
+        constant = GraphicalModel(
+            [2, 2], [Factor((), -10.0), Factor((0,), [0, 1]), Factor((0, 1), [[0, 2], [2, 0]])]
+        )
+        for m in itertools.chain(models, [constant]):
             for _ in range(20):
                 x = tuple(int(rng.integers(0, k)) for k in m.label_counts)
                 le = linear_energy(m, delta(m, x))

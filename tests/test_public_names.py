@@ -57,3 +57,22 @@ def test_extractors_read_real_outputs(monkeypatch):
         "committed": len(out.committed_nodes),
         "nodes": len(nodes),
     }
+
+
+def test_tracer_attributes_exact_lp_layers(monkeypatch):
+    """An exact-lp prune in optimal mode shows a span for each layer it
+    runs, so none of those per-layer times can read 0 because the library
+    stopped calling the traced name."""
+    tracer = _load_tracing(monkeypatch).Tracer()
+    m = mapprune.generate(mapprune.InstanceSpec(
+        kind="potts-grid", height=4, width=4, labels=3,
+        coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=1,
+    ))
+    tracer.install()
+    try:
+        mapprune.prune(m, solver="exact-lp", mode="optimal")
+    finally:
+        tracer.restore()
+    names = {span.name for span in tracer.spans}
+    wanted = {"model.reparam", "polytope.build_lp", "simplex.solve", "solver.lp", "boundary.augment"}
+    assert wanted <= names, wanted - names
