@@ -182,7 +182,7 @@ def build_augmented_model(
             )
         # One part per pattern of inside scope positions, inside axes first.
         pattern = inside[g.scopes[cut]] @ (1 << np.arange(g.arity))
-        for code in np.unique(pattern).tolist():
+        for code in sorted(set(pattern.tolist())):
             rows = cut[pattern == code]
             ins_pos = [p for p in range(g.arity) if code >> p & 1]
             out_pos = [p for p in range(g.arity) if not code >> p & 1]

@@ -7,6 +7,7 @@ Subcommands: solve, prune, verify, gen, bench.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -51,7 +52,9 @@ def _hw_pair(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     p = _Parser(prog="mapprune", description=__doc__)
     p.add_argument("--version", action="version", version=f"mapprune {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

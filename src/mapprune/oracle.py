@@ -1,8 +1,10 @@
 """Brute-force ground truth for persistency and improving-mapping claims.
 
-Everything here enumerates the joint label space, so it only runs on desk
-scale instances, and everything a solver or the pruning loop claims can be
-checked against it.
+Everything here reads the energy of every joint labeling, computed once per
+call as one array with an axis per node, so it only runs on desk scale
+instances (up to ENUMERATION_CAP labelings, 16 MB), and everything a solver
+or the pruning loop claims can be checked against it.  Optima, witnesses
+and counterexamples are found in C order, node 0 most significant.
 """
 
 from __future__ import annotations
@@ -15,16 +17,7 @@ from .errors import DomainError, InvalidLabelingError
 from .model import GraphicalModel, Labeling, PartialLabeling
 # solve_bruteforce is not called here, but stays importable from this
 # module: perfbench/tracing.py wraps it under this module's name.
-from .solvers import (  # noqa: F401
-    _CHUNK,
-    ENUMERATION_CAP,
-    TIE_TOL,
-    _enumerate,
-    _labelings_at,
-    _optimal_rows,
-    energies_of,
-    solve_bruteforce,
-)
+from .solvers import ENUMERATION_CAP, TIE_TOL, _energy_table, solve_bruteforce  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -38,53 +31,62 @@ class OracleReport:
         assert (self.counterexample is not None) == (not self.verdict)
 
 
-def _validated_subset(model: GraphicalModel, nodes, x: PartialLabeling) -> tuple[int, ...]:
-    subset = tuple(sorted(set(int(v) for v in nodes)))
+def _clamped(model: GraphicalModel, labels: dict[int, int]) -> tuple[slice, ...]:
+    """Index of the slice of a joint array with each node of ``labels`` at
+    its label; the slice keeps every axis, so it broadcasts back."""
+    index = [slice(None)] * model.num_nodes
+    for v, l in labels.items():
+        index[v] = slice(l, l + 1)
+    return tuple(index)
+
+
+def _claimed(model: GraphicalModel, nodes, x: PartialLabeling) -> tuple[slice, ...]:
+    """The slice where x holds on the claimed subset, once the claim is valid."""
+    subset = sorted(set(int(v) for v in nodes))
     if not x.covers(subset):
         raise InvalidLabelingError("labeling does not cover the claimed subset")
     x.validate(model)
-    return subset
+    return _clamped(model, {v: x.label_of(v) for v in subset})
 
 
-def _first_optimum(
-    model: GraphicalModel, rows: np.ndarray, subset: tuple[int, ...], x: PartialLabeling, agree: bool
-) -> int | None:
-    """Index into ``rows`` of the first optimum that agrees (agree=True) or
-    disagrees (agree=False) with x on the subset, or None.  Decodes one
-    chunk of rows at a time."""
-    cols = list(subset)
-    want = np.array([x.label_of(v) for v in subset], dtype=np.int64)
-    for start in range(0, len(rows), _CHUNK):
-        block = _labelings_at(model, rows[start : start + _CHUNK])
-        hits = np.flatnonzero((block[:, cols] == want).all(axis=1) == agree)
-        if hits.size:
-            return start + int(hits[0])
-    return None
+def _outside(shape: tuple[int, ...], index: tuple[slice, ...]) -> np.ndarray:
+    """True at every joint labeling outside the slice at ``index``."""
+    mask = np.ones(shape, dtype=bool)
+    mask[index] = False
+    return mask
 
 
-def _labeling(model: GraphicalModel, row) -> tuple[int, ...]:
-    return tuple(_labelings_at(model, np.array([row], dtype=np.int64))[0].tolist())
+def _labeling(shape: tuple[int, ...], row) -> tuple[int, ...]:
+    """The labeling at a C-order row of the joint space."""
+    return tuple(int(l) for l in np.unravel_index(int(row), shape))
+
+
+def _tied(model: GraphicalModel, cap: int) -> np.ndarray:
+    """Which joint labelings are within TIE_TOL of the minimum energy."""
+    e = _energy_table(model, cap)
+    return e <= e.min() + TIE_TOL
 
 
 def verify_persistent(
     model: GraphicalModel, nodes, x: PartialLabeling, cap: int = ENUMERATION_CAP
 ) -> OracleReport:
     """Does some global optimum agree with x on the subset?"""
-    subset = _validated_subset(model, nodes, x)
-    _, rows = _optimal_rows(model, cap)
-    holds = _first_optimum(model, rows, subset, x, agree=True) is not None
-    return OracleReport("persistent", holds, None if holds else _labeling(model, rows[0]), len(rows))
+    claimed = _claimed(model, nodes, x)
+    tied = _tied(model, cap)
+    holds = bool(tied[claimed].any())
+    witness = None if holds else _labeling(tied.shape, np.argmax(tied))
+    return OracleReport("persistent", holds, witness, int(np.count_nonzero(tied)))
 
 
 def verify_strongly_persistent(
     model: GraphicalModel, nodes, x: PartialLabeling, cap: int = ENUMERATION_CAP
 ) -> OracleReport:
     """Does every global optimum agree with x on the subset?"""
-    subset = _validated_subset(model, nodes, x)
-    _, rows = _optimal_rows(model, cap)
-    failing = _first_optimum(model, rows, subset, x, agree=False)
-    witness = None if failing is None else _labeling(model, rows[failing])
-    return OracleReport("strongly-persistent", witness is None, witness, len(rows))
+    claimed = _claimed(model, nodes, x)
+    tied = _tied(model, cap)
+    failing = tied & _outside(tied.shape, claimed)
+    witness = _labeling(tied.shape, np.argmax(failing)) if failing.any() else None
+    return OracleReport("strongly-persistent", witness is None, witness, int(np.count_nonzero(tied)))
 
 
 def verify_improving(
@@ -102,26 +104,19 @@ def verify_improving(
         raise DomainError("subset contains invalid node ids")
     ys = model.validate_labeling(y)
 
-    cols = np.array(subset, dtype=np.int64)
-    target = np.array([ys[v] for v in subset], dtype=np.int64)
-    worst = None  # most negative improvement, with witness
-    tie_breaker = None  # non-fixed labeling with ~zero improvement
-    for _, block in _enumerate(model, cap):
-        mapped = block.copy()
-        mapped[:, cols] = target
-        gain = energies_of(model, block) - energies_of(model, mapped)
-        moved = (block[:, cols] != target).any(axis=1)
-        i = int(np.argmin(gain))
-        if worst is None or gain[i] < worst[0]:
-            worst = (float(gain[i]), tuple(int(l) for l in block[i]))
-        near_zero = np.flatnonzero(moved & (gain <= TIE_TOL))
-        if tie_breaker is None and near_zero.size:
-            tie_breaker = tuple(int(l) for l in block[near_zero[0]])
+    e = _energy_table(model, cap)
+    fixed = _clamped(model, {v: ys[v] for v in subset})
+    gain = e - e[fixed]
+    i = np.argmin(gain)
+    improving = bool(gain.flat[i] >= -TIE_TOL)
+    worst = _labeling(e.shape, i)
+    # The fixed points gain exactly 0; every other labeling is moved.
+    near_zero = (gain <= TIE_TOL) & _outside(e.shape, fixed)
+    tie_breaker = _labeling(e.shape, np.argmax(near_zero)) if near_zero.any() else None
 
-    improving = worst[0] >= -TIE_TOL
     strict = improving and tie_breaker is None
-    strict_witness = None if strict else (tie_breaker if improving else worst[1])
+    strict_witness = None if strict else (tie_breaker if improving else worst)
     return (
-        OracleReport("improving", improving, None if improving else worst[1], 0),
+        OracleReport("improving", improving, None if improving else worst, 0),
         OracleReport("strictly-improving", strict, strict_witness, 0),
     )

@@ -3,6 +3,10 @@
 Every solver reports, per node, either a committed label or the fractional
 marker (None, rendered as "#").  The contract: whenever an output commits
 every node, the committed labeling is a global optimum of the energy.
+
+The brute-force solver computes the energy of every joint labeling at once,
+as one array with an axis per node (``_energy_table``, at most
+ENUMERATION_CAP entries); the oracle reads its verdicts from the same array.
 """
 
 from __future__ import annotations
@@ -79,55 +83,34 @@ class StopRule:
 
 # -- exhaustive enumeration ------------------------------------------------
 
-_CHUNK = 1 << 16
 
+def _energy_table(model: GraphicalModel, cap: int) -> np.ndarray:
+    """The energy of every joint labeling, as a C-order float64 array of
+    shape ``label_counts`` (node 0 most significant); raises
+    StateSpaceCapError above ``cap`` before allocating anything.
 
-def _labelings_at(model: GraphicalModel, idx: np.ndarray) -> np.ndarray:
-    """The labelings at the given rows of the lexicographic enumeration (node
-    0 most significant), one per row."""
-    out = np.empty((idx.size, model.num_nodes), dtype=np.int64)
-    for v in range(model.num_nodes - 1, -1, -1):
-        idx, out[:, v] = np.divmod(idx, model.label_counts[v])
-    return out
-
-
-def _enumerate(model: GraphicalModel, cap: int):
-    """Walk the joint space in lexicographic chunks, yielding each chunk's
-    (row indices, labelings); raises StateSpaceCapError above ``cap``."""
+    From 0.0, each factor's table is added, broadcast over its scope's
+    axes, in stored factor order: every entry is the sum ``energy`` forms
+    for its labeling, in the same order, so it is bit-identical to it.
+    """
     total = model.joint_space_size()
     if total > cap:
         raise StateSpaceCapError(f"state space {total} exceeds cap {cap}")
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield idx, _labelings_at(model, idx)
-
-
-def energies_of(model: GraphicalModel, labelings: np.ndarray) -> np.ndarray:
-    """Vectorized energy of each row of a labelings matrix."""
-    vals = np.zeros(labelings.shape[0])
-    for f in model.factors:
-        flat = np.zeros(labelings.shape[0], dtype=np.int64)
-        stride = 1
-        for pos in range(f.arity - 1, -1, -1):
-            flat += labelings[:, f.scope[pos]] * stride
-            stride *= f.table.shape[pos]
-        vals += f.table.ravel()[flat]
-    return vals
-
-
-def _optimal_rows(model: GraphicalModel, cap: int) -> tuple[float, np.ndarray]:
-    """(minimum energy, the enumeration rows within TIE_TOL of it, ascending)."""
-    # One pass: keep each chunk's rows within TIE_TOL of the running best,
-    # then filter them against the final best.
-    best = math.inf
-    kept_vals, kept_rows = [], []
-    for idx, block in _enumerate(model, cap):
-        vals = energies_of(model, block)
-        best = min(best, float(vals.min()))
-        keep = vals <= best + TIE_TOL
-        kept_vals.append(vals[keep])
-        kept_rows.append(idx[keep])
-    return best, np.concatenate(kept_rows)[np.concatenate(kept_vals) <= best + TIE_TOL]
+    e = np.zeros(model.label_counts)
+    factors = sorted(
+        (
+            (p, scope, table)
+            for g in model.groups
+            for p, scope, table in zip(g.positions.tolist(), g.scopes.tolist(), g.tables)
+        ),
+        key=lambda f: f[0],
+    )
+    for _, scope, table in factors:
+        shape = [1] * model.num_nodes
+        for v, k in zip(scope, table.shape):
+            shape[v] = k
+        e += table.reshape(shape)
+    return e
 
 
 def solve_bruteforce(
@@ -140,8 +123,13 @@ def solve_bruteforce(
     ``value``, in lexicographic order, so ``len(optima)`` counts the tied
     optima.  ``x`` is its first row, as a tuple of ints.
     """
-    best, rows = _optimal_rows(model, cap)
-    optima = _labelings_at(model, rows)
+    e = _energy_table(model, cap)
+    best = float(e.min())
+    rows = np.flatnonzero(e <= best + TIE_TOL)
+    if model.num_nodes:
+        optima = np.column_stack(np.unravel_index(rows, e.shape))
+    else:
+        optima = np.zeros((1, 0), dtype=np.int64)  # the one empty labeling
     return tuple(optima[0].tolist()), best, optima
 
 

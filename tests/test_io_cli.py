@@ -11,6 +11,7 @@ from mapprune import (
     generate,
     parse_uai,
     persistency_percentage,
+    __version__,
     write_uai,
 )
 from mapprune.cli import main
@@ -271,6 +272,29 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["prune"]) == 1
         assert main(["nope"]) == 1
+
+    def test_repeated_calls_identical(self, tmp_path, capsys):
+        """One process, one parser: usage errors, --version and verified
+        prunes give the same exit code, stdout, stderr and report each time."""
+        model_path, report_path = tmp_path / "m.uai", tmp_path / "report.json"
+        self.write_pendant(model_path)
+        prune = ["prune", str(model_path), "--verify", "--out", str(report_path)]
+        calls = [["prune"], ["prune", str(model_path), "--solver", "nope"], ["--version"], prune, prune]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            report = None
+            if argv is prune:
+                report = json.loads(report_path.read_text())
+                del report["wall_time_s"]
+            return code, captured.out, captured.err, report
+
+        first = [run(argv) for argv in calls]
+        assert [r[0] for r in first] == [1, 1, 0, 0, 0]
+        assert first[2][1] == f"mapprune {__version__}\n"
+        assert first[3] == first[4]
+        assert [run(argv) for argv in calls] == first
 
     def test_zero_pass_cap_is_usage_error(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"

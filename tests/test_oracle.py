@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from mapprune import (
@@ -8,6 +10,8 @@ from mapprune import (
     PartialLabeling,
     StateSpaceCapError,
     improving_mapping_check,
+    solve_bruteforce,
+    strong_persistency_scan,
     verify_improving,
     verify_persistent,
     verify_strongly_persistent,
@@ -128,3 +132,45 @@ class TestVerifyImproving:
                 strict_pairs += 1
                 assert strict.verdict
         assert strict_pairs > 0
+
+
+class TestEnumerationCap:
+    """Every exhaustive entry point refuses a joint space above the cap
+    before allocating it, and accepts one exactly at the cap."""
+
+    @staticmethod
+    def calls(m, cap):
+        everything = tuple(range(m.num_nodes))
+        zeros = PartialLabeling(everything, (0,) * m.num_nodes)
+        return [
+            lambda: solve_bruteforce(m, cap),
+            lambda: verify_persistent(m, everything, zeros, cap=cap),
+            lambda: verify_strongly_persistent(m, everything, zeros, cap=cap),
+            lambda: verify_improving(m, everything, zeros.labels, cap=cap),
+            lambda: strong_persistency_scan(m, max_nodes=m.num_nodes, cap=cap),
+        ]
+
+    def test_far_above_cap(self):
+        m = GraphicalModel([2] * 64, [Factor((0, 63), [[0, 1], [1, 0]])])
+        for call in self.calls(m, 2_000_000):
+            with pytest.raises(StateSpaceCapError):
+                call()
+
+    def test_no_allocation_above_cap(self):
+        m = GraphicalModel([2] * 20)
+        for call in self.calls(m, 2**20 - 1):
+            tracemalloc.start()
+            try:
+                with pytest.raises(StateSpaceCapError):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20  # the joint space would take 8 MB
+
+    def test_exactly_at_cap(self):
+        m = GraphicalModel([2] * 10, [Factor((0,), [0.0, 1.0])])
+        for call in self.calls(m, 2**10):
+            call()
+        x, value, optima = solve_bruteforce(m, 2**10)
+        assert x == (0,) * 10 and value == 0.0 and optima.shape == (512, 10)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from mapprune import (
     solve_lp_exact,
     solve_trws,
 )
-from mapprune.solvers import bruteforce_output
+from mapprune.solvers import ENUMERATION_CAP, _energy_table, bruteforce_output
 from conftest import enumerate_min, random_pairwise, random_with_ternary
 
 
@@ -70,6 +72,20 @@ class TestBruteforce:
             assert abs(value - want_value) <= 1e-9 * (1 + abs(want_value))
             # lexicographic order included
             assert [tuple(r) for r in optima.tolist()] == want_optima
+
+    def test_energy_table_is_energy_bit_for_bit(self, rng):
+        """Each entry is ``energy``'s left-to-right sum.  On the last model the
+        1e16 terms make some entries depend on the order of the additions:
+        adding the factors in reverse, for one, changes them."""
+        models = [random_with_ternary(rng, n_lo=3, n_hi=5) for _ in range(5)]
+        models.append(GraphicalModel([2, 3], [
+            Factor((), 0.5), Factor((0,), [1e16, -0.0]), Factor((1,), [1.0, 0.0, -1.0]),
+            Factor((0, 1), [[-1e16, -1e16, 0.0], [3.0, -0.0, 1e16]]),
+        ]))
+        for m in models:
+            table = _energy_table(m, ENUMERATION_CAP)
+            for x in itertools.product(*map(range, m.label_counts)):
+                assert table[x].tobytes() == np.float64(energy(m, x)).tobytes()
 
 
 class TestLpExact:
