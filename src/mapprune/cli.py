@@ -64,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--values", choices=("cost", "probability"), default="cost")
 
     def add_trws_args(sp):
-        sp.add_argument("--gap", type=float, default=1e-5, help="relative duality gap stop")
-        sp.add_argument("--stall", type=int, default=100, help="stagnant-pass stop")
-        sp.add_argument("--max-iters", type=int, default=1500, help="total pass cap")
+        default = StopRule()
+        sp.add_argument("--gap", type=float, default=default.gap_tol, help="relative duality gap stop")
+        sp.add_argument("--stall", type=int, default=default.stall_passes, help="stagnant-pass stop")
+        sp.add_argument("--max-iters", type=int, default=default.max_passes, help="total pass cap")
 
     sp = sub.add_parser("solve", help="minimize a model with one solver")
     add_model_args(sp)

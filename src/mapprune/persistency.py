@@ -22,6 +22,7 @@ from .model import (
     GraphicalModel,
     Labeling,
     PartialLabeling,
+    Reparametrization,
     apply_reparametrization,
     energy,
     optimal_reparametrization,
@@ -64,13 +65,31 @@ def _not_above(reference: float, value: float, tol: float) -> bool:
     return reference <= value + tol * (1.0 + max(abs(reference), abs(value)))
 
 
-def _solve(model: GraphicalModel, solver: str, stop: StopRule | None, cap: int) -> SolverOutput:
+def _solve(
+    model: GraphicalModel, solver: str, stop: StopRule | None, cap: int,
+    start: Reparametrization | None = None,
+) -> SolverOutput:
     if solver == "exact-lp":
         _, _, out = solve_lp_exact(model)
         return out
     if solver == "trws":
-        return solve_trws(model, stop)
+        return solve_trws(model, stop, start)
     return bruteforce_output(model, cap)
+
+
+def _surviving_messages(
+    model: GraphicalModel, messages: Reparametrization | None, keep: np.ndarray
+) -> Reparametrization | None:
+    """The rows of ``messages`` on the edges of ``model`` whose two ends are
+    both kept, and the columns of the kept nodes' labels.  The augmented
+    model over the kept nodes has exactly these edges, in this order, since
+    its local ids keep the order of ``model``'s ids; so this is the state
+    that its solve starts from."""
+    if messages is None:
+        return None
+    inside = keep[model._scopes(2)].all(axis=1)  # the rows of model.edges()
+    k = max((c for c, kept in zip(model.label_counts, keep) if kept), default=1)
+    return Reparametrization(messages.forward[inside, :k], messages.backward[inside, :k])
 
 
 @dataclass(frozen=True)
@@ -131,6 +150,13 @@ def prune(
     reparametrization, built once from the initial committed labeling
     extended by label 0, before the loop; it never shrinks the result
     relative to mode="original" and typically enlarges it.
+
+    With solver="trws", each loop solve starts from the previous solve's
+    messages on the edges that remain (in optimal mode, the first one from
+    the initial solve's, shifted onto the reparametrized model), and
+    ``stop`` defaults to ``StopRule()``, whose stall rule ends a solve
+    after 20 passes without more committed nodes.  The loop records'
+    ``solver_iterations`` count the passes made from that warm state.
     """
     solver = _canon_solver(solver)
     if mode not in ("original", "optimal"):
@@ -165,11 +191,17 @@ def prune(
         )
 
     work = model
+    messages = out0.messages
     if mode == "optimal":
         extended = [0] * model.num_nodes
         for v, l in labels.items():
             extended[v] = l
-        work = apply_reparametrization(model, optimal_reparametrization(model, extended))
+        phi = optimal_reparametrization(model, extended)
+        work = apply_reparametrization(model, phi)
+        if messages is not None:
+            # The same message state, on the reparametrized model.
+            messages = Reparametrization(messages.forward - phi.forward, messages.backward - phi.backward)
+    start = _surviving_messages(work, messages, np.isin(np.arange(model.num_nodes), domain))
 
     t = 0
     while True:
@@ -178,7 +210,8 @@ def prune(
         prev_labels = dict(labels)
         y = PartialLabeling.from_mapping(prev_labels)
         aug = build_augmented_model(work, prev_domain, y, mode="original")
-        out = _solve(aug.model, solver, stop, cap)
+        assert start is None or len(start.forward) == len(aug.model._scopes(2))
+        out = _solve(aug.model, solver, stop, cap, start)
         if subproblem_hook is not None:
             subproblem_hook(aug, out)
 
@@ -224,6 +257,7 @@ def prune(
         if not domain:
             notes.append("pruned to the empty set")
             break
+        start = _surviving_messages(aug.model, out.messages, np.isin(aug.nodes, survivors))
 
     if solver == "exact-lp":
         notes.append(

@@ -12,12 +12,12 @@ ENUMERATION_CAP entries); the oracle reads its verdicts from the same array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
-from .model import GraphicalModel, energies_close, energy
+from .model import GraphicalModel, Reparametrization, energies_close, energy
 from .polytope import SNAP_TOL, Marginals, build_lp
 from .simplex import solve_standard_form
 
@@ -46,6 +46,9 @@ class SolverOutput:
     "stall" or "max_passes").  ``bound_history`` is the bound after each
     pass (empty for the exact solvers), and ``best_energy`` the lowest
     energy of a labeling the solver found (None for exact-lp).
+    ``messages`` is the message-passing solver's final state, as the
+    reparametrization it defines (None for the exact solvers):
+    ``solve_trws(model, start=out.messages)`` resumes from it.
     """
 
     labels: tuple[int | None, ...]
@@ -55,6 +58,7 @@ class SolverOutput:
     stop: str = "exact"
     bound_history: tuple[float, ...] = ()
     best_energy: float | None = None
+    messages: Reparametrization | None = field(default=None, compare=False, repr=False)
 
     @property
     def committed_nodes(self) -> tuple[int, ...]:
@@ -73,7 +77,7 @@ class StopRule:
     """Stopping configuration for the message-passing solver."""
 
     gap_tol: float = 1e-5
-    stall_passes: int = 100
+    stall_passes: int = 20
     max_passes: int = 1500
 
     def __post_init__(self):
@@ -347,6 +351,18 @@ class _TrwsRun:
             self.valid[receivers[edges]],
         )
 
+    def resume(self, state: Reparametrization) -> None:
+        """Start from the messages that ``state`` defines (see ``state()``)
+        instead of from zero."""
+        self.fwd[:] = np.where(self.valid[self.ev], -state.forward, 0.0)
+        self.bwd[:] = np.where(self.valid[self.eu], -state.backward, 0.0)
+
+    def state(self) -> Reparametrization:
+        """The messages as the reparametrization they define: a message
+        adds to its receiver's unary and leaves the edge table, which is a
+        Reparametrization's shift with the opposite sign."""
+        return Reparametrization(-self.fwd, -self.bwd)
+
     def _aggregate(self, unary: np.ndarray, incoming: np.ndarray) -> np.ndarray:
         d = unary
         for rows in incoming.T:
@@ -437,14 +453,23 @@ class _TrwsRun:
         return tuple(l if c else None for l, c in zip(first.tolist(), ok.tolist()))
 
 
-def solve_trws(model: GraphicalModel, stop: StopRule | None = None) -> SolverOutput:
+def solve_trws(
+    model: GraphicalModel, stop: StopRule | None = None, start: Reparametrization | None = None
+) -> SolverOutput:
     """Sequential dual block-coordinate ascent over the node-id order.
 
     Commits nodes with strong agreement; if every node commits, the labeling
     is checked against the dual bound and is a guaranteed global optimum.
+    ``start``, in the layout of ``Reparametrization`` for this model (for
+    instance an earlier output's ``messages``), sets the initial messages;
+    without it they start at zero.  The bound is valid from any start, and
+    ``iterations`` counts the passes made from it.
     """
     stop = stop or StopRule()
     run = _TrwsRun(model)
+    if start is not None:
+        start.validate(model)
+        run.resume(start)
 
     best_bound = -math.inf
     best_energy = math.inf
@@ -495,4 +520,5 @@ def solve_trws(model: GraphicalModel, stop: StopRule | None = None) -> SolverOut
         stop=reason,
         bound_history=tuple(history),
         best_energy=best_energy,
+        messages=run.state(),
     )

@@ -89,7 +89,7 @@ def test_exact_lp_prune_digest():
 
 def test_trws_optimal_prune_digest():
     result = prune(grid_20x20x4(), solver="trws", mode="optimal")
-    assert _prune_digest(result) == "b9b7f7d852710f68e0ff29f1690f47652d30b1e444be1191dadf3f01fc152dfc"
+    assert _prune_digest(result) == "f5f95234fa1f9d74b2fb432b72df685027f3fdcd2c24a799b2e2a790b7af5eaf"
 
 
 def test_solve_lp_exact_bytes(rng):

@@ -7,6 +7,7 @@ from mapprune import (
     Factor,
     GraphicalModel,
     InstanceSpec,
+    StopRule,
     UaiParseError,
     generate,
     parse_uai,
@@ -14,7 +15,7 @@ from mapprune import (
     __version__,
     write_uai,
 )
-from mapprune.cli import main
+from mapprune.cli import _stop_rule, build_parser, main
 from conftest import random_with_ternary
 
 
@@ -303,6 +304,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max_passes" in captured.err
+
+    def test_trws_stop_defaults_are_stop_rule(self):
+        """--gap, --stall and --max-iters default to StopRule()'s fields."""
+        for command in ("solve", "prune"):
+            args = build_parser().parse_args([command, "m.uai"])
+            assert _stop_rule(args) == StopRule()
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"

@@ -94,6 +94,16 @@ def test_trws_fixpoints_on_potts_grids(mode):
         assert check_fixpoint(m, "trws", mode)
 
 
+def test_trws_fixpoint_on_a_large_grid():
+    """One 50x50x4 grid of the same family, whose loop makes five
+    warm-started solves before its fixpoint."""
+    m = generate(InstanceSpec(
+        kind="potts-grid", height=50, width=50, labels=4,
+        coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=1,
+    ))
+    assert check_fixpoint(m, "trws", "original")
+
+
 @pytest.mark.parametrize("mode", ["original", "optimal"])
 def test_exact_lp_fixpoints_on_grids(mode):
     """Three grids of the benchmark's exact-lp family, and one strongly

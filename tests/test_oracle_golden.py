@@ -135,4 +135,4 @@ def test_prune_verify_report_bytes(tmp_path):
             payload = json.loads(report_path.read_text())
             del payload["instance"], payload["wall_time_s"]
             h.update(f"{code}:{json.dumps(payload)}".encode())
-    assert h.hexdigest() == "42ac07f91baebc0f52b8420014e1cf3c4e32b1ec64bd2036d9590b18b80f4da3"
+    assert h.hexdigest() == "0bc0254accc4de8efdd9b7301fae6347a6d0273d45249d62269108b8b6a7360a"

@@ -67,6 +67,21 @@ class TestPrune:
             if res.a_star:
                 assert verify_persistent(m, res.a_star, res.x_star).verdict
 
+    def test_trws_warm_starts_sound_on_mixed_label_spaces(self, rng):
+        """Warm-started loop solves in both modes, where the nodes pruned
+        before a solve sometimes include every node with the most labels,
+        so that its start state loses its widest message columns."""
+        narrowed = 0
+        for _ in range(150):
+            m = random_pairwise(rng, n_lo=3, n_hi=8, mixed_labels=True)
+            for mode in ("original", "optimal"):
+                res = prune(m, solver="trws", mode=mode)
+                widths = [max(m.label_counts[v] for v in r.domain) for r in res.trace]
+                narrowed += any(b < a for a, b in zip(widths, widths[1:]))
+                if res.a_star:
+                    assert verify_persistent(m, res.a_star, res.x_star).verdict
+        assert narrowed > 0
+
     def test_iteration_bound(self, rng):
         for _ in range(60):
             m = random_pairwise(rng, n_lo=2, n_hi=8, mixed_labels=True)

@@ -76,3 +76,23 @@ def test_tracer_attributes_exact_lp_layers(monkeypatch):
     names = {span.name for span in tracer.spans}
     wanted = {"model.reparam", "polytope.build_lp", "simplex.solve", "solver.lp", "boundary.augment"}
     assert wanted <= names, wanted - names
+
+
+def test_tracer_counts_every_trws_pass(monkeypatch):
+    """A trws prune shows one solver.trws span per solve, the initial one and
+    each warm-started loop solve, and each span's passes are its trace
+    record's solver_iterations, so the per-layer pass count misses none."""
+    tracer = _load_tracing(monkeypatch).Tracer()
+    m = mapprune.generate(mapprune.InstanceSpec(
+        kind="potts-grid", height=20, width=20, labels=4,
+        coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=0,
+    ))
+    tracer.install()
+    try:
+        result = mapprune.prune(m, solver="trws")
+    finally:
+        tracer.restore()
+    spans = [span for span in tracer.spans if span.name == "solver.trws"]
+    assert result.loop_iterations > 1
+    assert len(spans) == len(result.trace)
+    assert [s.info["passes"] for s in spans] == [r.solver_iterations for r in result.trace]

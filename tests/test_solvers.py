@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mapprune import (
+    DomainError,
     Factor,
     GraphicalModel,
     StateSpaceCapError,
@@ -13,6 +14,7 @@ from mapprune import (
     frustrated_cycle,
     generate,
     InstanceSpec,
+    Reparametrization,
     solve_bruteforce,
     solve_lp_exact,
     solve_trws,
@@ -57,10 +59,11 @@ class TestBruteforce:
 
     def test_matches_itertools_oracle(self, rng):
         models = [random_with_ternary(rng, n_lo=3, n_hi=6) for _ in range(15)]
-        # 2 * 8**5 * 2 joint states span two enumeration chunks.  Node 0 is
-        # the most significant, so every optimum (x0 = 1) lies in the second
-        # chunk, after the first chunk's best rows, which are 0.25 worse;
-        # nodes 5 and 6 carry no factor, so the 16 optima tie exactly.
+        # 2 * 8**5 * 2 joint states, more than 1 << 16.  Node 0 is the most
+        # significant, so every optimum (x0 = 1) lies in the second half of
+        # the joint energy array, after the first half's best rows, which
+        # are 0.25 worse; nodes 5 and 6 carry no factor, so the 16 optima
+        # tie exactly.
         counts = [2] + [8] * 5 + [2]
         factors = [Factor((0,), [0.0, -0.25])]
         factors += [Factor((v,), rng.uniform(0, 1, 8)) for v in range(1, 5)]
@@ -208,6 +211,52 @@ class TestTrws:
                         violations += 1
         assert violations == 0
         assert committed > 400
+
+
+class TestTrwsWarmStart:
+    """A start state moves only where the ascent begins: the bound stays a
+    lower bound on the optimum, and a fully committed output stays optimal."""
+
+    @staticmethod
+    def random_start(rng, m, scale):
+        shape = (len(m.edges()), max(m.label_counts))
+        return Reparametrization(rng.normal(0.0, scale, shape), rng.normal(0.0, scale, shape))
+
+    def test_bound_and_commitments_from_random_starts(self, rng):
+        from test_trws_golden import mixed
+
+        models = [mixed()] + [random_pairwise(rng, n_lo=2, n_hi=7, coupling=(0.0, 0.5)) for _ in range(80)]
+        committed = 0
+        for m in models:
+            _, value, _ = solve_bruteforce(m)
+            for scale in (0.1, 1.0, 10.0):
+                out = solve_trws(m, StopRule(max_passes=40), start=self.random_start(rng, m, scale))
+                assert max(out.bound_history) == out.objective_bound
+                assert out.objective_bound <= value + 1e-7 * (1 + abs(value))
+                if out.is_fully_committed:
+                    committed += 1
+                    e = energy(m, [l for l in out.labels])
+                    assert abs(e - value) <= 1e-7 * (1 + abs(value))
+        assert committed > 80
+
+    def test_resumes_from_its_messages(self):
+        """Passes 4-7 of a run, restarted from the state after pass 3, give
+        the same bounds bit for bit."""
+        from test_trws_golden import mixed
+
+        m = mixed()
+        whole = solve_trws(m, StopRule(stall_passes=100, max_passes=7))
+        head = solve_trws(m, StopRule(stall_passes=100, max_passes=3))
+        tail = solve_trws(m, StopRule(stall_passes=100, max_passes=4), start=head.messages)
+        assert whole.iterations == 7 and tail.iterations == 4
+        assert head.bound_history + tail.bound_history == whole.bound_history
+
+    def test_wrong_shape_rejected(self, rng):
+        m = random_pairwise(rng, n_lo=4, n_hi=4)
+        e, k = len(m.edges()), max(m.label_counts)
+        for shape in ((e + 1, k), (e, k + 1)):
+            with pytest.raises(DomainError):
+                solve_trws(m, start=Reparametrization(np.zeros(shape), np.zeros(shape)))
 
 
 class TestSolverOutputDiagnostics:

@@ -150,4 +150,4 @@ def test_prune_golden_digest():
             coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=seed,
         ))
         h.update(_prune_digest(prune(m, solver="trws")).encode())
-    assert h.hexdigest() == "a271095af021a281fcfaf59e8d89e3bb8b2e8658618b99ff53c7a0e811194677"
+    assert h.hexdigest() == "087672e79d351d6b5e38d283a9945917642a48f81158616feda68a958eb3a260"
