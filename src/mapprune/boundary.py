@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, UnsupportedArityError
-from .model import GraphicalModel, Labeling, PartialLabeling
+from .model import FactorGroup, GraphicalModel, Labeling, PartialLabeling, _subset_mask
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,6 @@ class BoundarySets:
     boundary_nodes: tuple[int, ...]
     boundary_factors: tuple[int, ...]
     interior_nodes: tuple[int, ...]
-
-
-def _subset_mask(model: GraphicalModel, nodes: Iterable[int]) -> np.ndarray:
-    node_list = sorted(set(int(v) for v in nodes))
-    if node_list and (node_list[0] < 0 or node_list[-1] >= model.num_nodes):
-        raise DomainError("subset contains invalid node ids")
-    inside = np.zeros(model.num_nodes, dtype=bool)
-    inside[node_list] = True
-    return inside
 
 
 def _straddling(model: GraphicalModel, inside: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -75,6 +66,20 @@ def _boundary_rule(flat: np.ndarray, y_flat: np.ndarray, mode: str) -> np.ndarra
     return table
 
 
+def _inside_first(g: FactorGroup, rows: np.ndarray, code: int, y_full: np.ndarray):
+    """Rows of group g whose scope positions inside A are the set bits of
+    ``code``, split for ``_boundary_rule``: returns (inside scopes, inside
+    shape, tables with inside axes first flattened to (rows, inside tuples,
+    outside tuples), each table's test row under the labels ``y_full``)."""
+    ins_pos = [p for p in range(g.arity) if code >> p & 1]
+    out_pos = [p for p in range(g.arity) if not code >> p & 1]
+    arr = g.tables[rows].transpose(0, *(p + 1 for p in ins_pos + out_pos))
+    k_ins = arr.shape[1 : 1 + len(ins_pos)]
+    ins_scopes = g.scopes[rows][:, ins_pos]
+    flat = arr.reshape(len(rows), math.prod(k_ins), -1)
+    return ins_scopes, k_ins, flat, np.ravel_multi_index(tuple(y_full[ins_scopes].T), k_ins)
+
+
 def boundary_potential(
     model: GraphicalModel,
     factor_index: int,
@@ -94,25 +99,30 @@ def boundary_potential(
     """
     if mode not in ("original", "optimal"):
         raise DomainError(f"unknown boundary potential mode {mode!r}")
-    inside = set(int(v) for v in nodes)
-    f = model.factors[factor_index]
-    ins_pos = [p for p, v in enumerate(f.scope) if v in inside]
-    out_pos = [p for p, v in enumerate(f.scope) if v not in inside]
-    if not ins_pos or not out_pos:
-        raise DomainError(f"factor {factor_index} over {f.scope} does not straddle the subset")
-    ins_scope = tuple(f.scope[p] for p in ins_pos)
+    inside = _subset_mask(model, nodes)
+    for g in model.groups:
+        rows = np.flatnonzero(g.positions == factor_index)
+        if rows.size:
+            break
+    else:
+        raise DomainError(f"no factor {factor_index} in a model of {model.num_factors}")
+    scope = g.scopes[rows[0]]
+    ins_scope = tuple(scope[inside[scope]].tolist())
+    if not 0 < len(ins_scope) < g.arity:
+        raise DomainError(
+            f"factor {factor_index} over {tuple(scope.tolist())} does not straddle the subset"
+        )
     if not y.covers(ins_scope):
         raise DomainError(f"test labeling does not cover boundary nodes {ins_scope}")
-    if mode == "optimal" and f.arity != 2:
+    if mode == "optimal" and g.arity != 2:
         raise UnsupportedArityError(
             "optimal-mode boundary potentials are defined for pairwise factors only"
         )
-    # Bring inside axes to the front, flatten outside axes away.
-    arr = np.transpose(f.table, ins_pos + out_pos)
-    k_ins = arr.shape[: len(ins_pos)]
-    y_flat = np.ravel_multi_index(tuple(y.label_of(v) for v in ins_scope), k_ins)
-    table = _boundary_rule(arr.reshape(1, math.prod(k_ins), -1), np.array([y_flat]), mode)
-    return ins_scope, table.reshape(k_ins)
+    y_full = np.zeros(model.num_nodes, dtype=np.int64)
+    y_full[list(ins_scope)] = [y.label_of(v) for v in ins_scope]
+    code = int(inside[scope] @ (1 << np.arange(g.arity)))
+    _, k_ins, flat, y_flat = _inside_first(g, rows, code, y_full)
+    return ins_scope, _boundary_rule(flat, y_flat, mode).reshape(k_ins)
 
 
 @dataclass(frozen=True)
@@ -180,17 +190,11 @@ def build_augmented_model(
             raise UnsupportedArityError(
                 "optimal-mode boundary potentials are defined for pairwise factors only"
             )
-        # One part per pattern of inside scope positions, inside axes first.
+        # One part per pattern of inside scope positions.
         pattern = inside[g.scopes[cut]] @ (1 << np.arange(g.arity))
         for code in sorted(set(pattern.tolist())):
             rows = cut[pattern == code]
-            ins_pos = [p for p in range(g.arity) if code >> p & 1]
-            out_pos = [p for p in range(g.arity) if not code >> p & 1]
-            arr = g.tables[rows].transpose(0, *(p + 1 for p in ins_pos + out_pos))
-            k_ins = arr.shape[1 : 1 + len(ins_pos)]
-            ins_scopes = g.scopes[rows][:, ins_pos]
-            flat = arr.reshape(len(rows), math.prod(k_ins), -1)
-            y_flat = np.ravel_multi_index(tuple(y_full[ins_scopes].T), k_ins)
+            ins_scopes, k_ins, flat, y_flat = _inside_first(g, rows, code, y_full)
             cut_tables.setdefault(flat.shape[1:], []).append(
                 (flat, y_flat, local[ins_scopes], k_ins, g.positions[rows])
             )

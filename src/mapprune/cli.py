@@ -69,6 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--stall", type=int, default=default.stall_passes, help="stagnant-pass stop")
         sp.add_argument("--max-iters", type=int, default=default.max_passes, help="total pass cap")
 
+    def add_instance_args(sp):
+        sp.add_argument("--hw", type=_hw_pair, default=None, help="grid HxW")
+        sp.add_argument("--nodes", type=int, default=0)
+        sp.add_argument("--labels", type=int, default=2)
+        sp.add_argument("--coupling", type=_range_pair, default=(0.0, 1.0))
+        sp.add_argument("--noise", type=_range_pair, default=(0.0, 1.0))
+        sp.add_argument("--edge-prob", type=float, default=0.5)
+        sp.add_argument("--hyper-count", type=int, default=1)
+
     sp = sub.add_parser("solve", help="minimize a model with one solver")
     add_model_args(sp)
     sp.add_argument("--solver", choices=("bruteforce", "lp", "trws"), default="lp")
@@ -95,25 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="emit a synthetic instance as UAI text")
     sp.add_argument("--kind", choices=KINDS, required=True)
-    sp.add_argument("--hw", type=_hw_pair, default=None, help="grid HxW")
-    sp.add_argument("--nodes", type=int, default=0)
-    sp.add_argument("--labels", type=int, default=2)
-    sp.add_argument("--coupling", type=_range_pair, default=(0.0, 1.0))
-    sp.add_argument("--noise", type=_range_pair, default=(0.0, 1.0))
-    sp.add_argument("--edge-prob", type=float, default=0.5)
-    sp.add_argument("--hyper-count", type=int, default=1)
+    add_instance_args(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", type=Path, default=None)
 
     sp = sub.add_parser("bench", help="sweep seeded instances, emit CSV")
     sp.add_argument("--gen", dest="kind", choices=KINDS, required=True)
-    sp.add_argument("--hw", type=_hw_pair, default=None)
-    sp.add_argument("--nodes", type=int, default=0)
-    sp.add_argument("--labels", type=int, default=2)
-    sp.add_argument("--coupling", type=_range_pair, default=(0.0, 1.0))
-    sp.add_argument("--noise", type=_range_pair, default=(0.0, 1.0))
-    sp.add_argument("--edge-prob", type=float, default=0.5)
-    sp.add_argument("--hyper-count", type=int, default=1)
+    add_instance_args(sp)
     sp.add_argument("--n", type=int, default=10, help="number of instances")
     sp.add_argument("--seed", type=int, default=0, help="seed of the first instance")
     sp.add_argument("--solver", choices=("bruteforce", "lp", "trws"), default="lp")

@@ -6,11 +6,12 @@ type in this module is immutable after construction and safe to share across
 threads; a model's ``factors`` tuple may be built on first read, and two
 threads reading it first at once may each build an equal one.
 
-The model stores its factors as stacked groups (``FactorGroup``), and every
-operation here works on those arrays: energies are one gather per group, and
-a reparametrization is a pair of (edges, labels) message arrays applied with
-one broadcast per pairwise group.  Only the constructor and the ``factors``
-view touch ``Factor`` objects.
+The model stores its factors only as stacked groups (``FactorGroup``), and
+every operation here works on those arrays: energies are one gather per
+group, and a reparametrization is a pair of (edges, labels) message arrays
+applied with one broadcast per pairwise group.  ``Factor`` objects appear
+only at the door, where the constructor stacks them into arrays, and in the
+``factors`` view of the group rows.
 """
 
 from __future__ import annotations
@@ -107,16 +108,15 @@ def _first_row(scopes: np.ndarray, bad: np.ndarray) -> tuple[int, ...]:
 
 
 def _check_group(
-    scopes: np.ndarray, tables: np.ndarray, num_nodes: int, counts: np.ndarray | None, factors: bool
+    scopes: np.ndarray, tables: np.ndarray, num_nodes: int, counts: np.ndarray | None
 ) -> None:
-    """Scope range and table shapes, once per group; scope order and
-    finiteness too unless the rows come from ``Factor`` objects (``factors``),
-    which checked them.  ``counts`` is None when every node's label count
-    matches every table axis, so in-range scopes cannot mismatch."""
+    """Scope range and order, table shapes and finiteness, once per group.
+    ``counts`` is None when every node's label count matches every table
+    axis, so in-range scopes cannot mismatch."""
     if scopes.size and scopes.view(np.uint64).max() >= num_nodes:  # negative ids wrap to huge
         bad = ((scopes < 0) | (scopes >= num_nodes)).any(axis=1)
         raise DomainError(f"factor scope {_first_row(scopes, bad)} outside node range")
-    if not factors and (scopes[:, 1:] <= scopes[:, :-1]).any():
+    if (scopes[:, 1:] <= scopes[:, :-1]).any():
         bad = (scopes[:, 1:] <= scopes[:, :-1]).any(axis=1)
         raise DomainError(f"factor scope must be strictly sorted, got {_first_row(scopes, bad)}")
     if counts is not None and (counts[scopes] != tables.shape[1:]).any():
@@ -124,39 +124,44 @@ def _check_group(
         scope = _first_row(scopes, bad)
         expected = tuple(int(counts[v]) for v in scope)
         raise DomainError(f"factor over {scope}: table shape {tables.shape[1:]} != {expected}")
-    if not factors and not np.isfinite(tables).all():
+    if not np.isfinite(tables).all():
         bad = ~np.isfinite(tables.reshape(len(tables), -1)).all(axis=1)
         raise DomainError(f"factor over {_first_row(scopes, bad)} has non-finite table entries")
 
 
-def _merge(scopes: np.ndarray, tables: np.ndarray, num_nodes: int, ordered: bool):
+def _merge(scopes: np.ndarray, tables: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Sort one group's rows by scope and add the tables of a repeated scope
-    one by one in input order.  Returns (scopes, tables, source): source[i]
-    is the input row of output row i, or -1 where several rows were added.
-    ``ordered`` says the rows are known to be sorted without repeats."""
+    one by one in input order.  Returns (scopes, read-only tables); rows
+    that are already sorted without repeats are returned as given."""
     arity = scopes.shape[1]
-    if ordered:
-        tables.setflags(write=False)
-        return scopes, tables, np.arange(len(scopes))
     if arity and num_nodes**arity < 2**62:
         key = scopes[:, 0]
         for j in range(1, arity):
             key = key * num_nodes + scopes[:, j]
         if (key[1:] > key[:-1]).all():  # already sorted, no repeats
             tables.setflags(write=False)
-            return scopes, tables, np.arange(len(key))
+            return scopes, tables
         order = np.argsort(key, kind="stable")
     else:  # constants, or keys that could overflow
         order = np.lexsort(scopes.T[::-1]) if arity else np.arange(len(scopes))
     s = scopes[order]
     new = np.ones(len(s), dtype=bool)
     new[1:] = (s[1:] != s[:-1]).any(axis=1)
-    first = order[new]
-    out = tables[first]
+    out = tables[order[new]]
     np.add.at(out, (np.cumsum(new) - 1)[~new], tables[order[~new]])
     out.setflags(write=False)
-    size = np.diff(np.append(np.flatnonzero(new), len(s)))
-    return s[new], out, np.where(size == 1, first, -1)
+    return s[new], out
+
+
+def _factor_rows(model: GraphicalModel) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Each factor's (scope, read-only table row) in (arity, scope) order."""
+    rows: list = [None] * model.num_factors
+    for g in model.groups:
+        # Iterating the stacked tables gives row views, except at arity 0.
+        tables = g.tables if g.arity else [g.tables[i, ...] for i in range(len(g.tables))]
+        for p, scope, table in zip(g.positions.tolist(), map(tuple, g.scopes.tolist()), tables):
+            rows[p] = (scope, table)
+    return rows
 
 
 class GraphicalModel:
@@ -165,32 +170,23 @@ class GraphicalModel:
     Duplicate scopes are merged by adding their tables, so each scope appears
     at most once.  Factors are ordered by (arity, scope), which makes
     construction deterministic regardless of input order.  They are stored
-    as ``groups``, one ``FactorGroup`` per (arity, table shape); ``factors``
-    is the tuple view of the same factors in (arity, scope) order.
+    only as ``groups``, one ``FactorGroup`` per (arity, table shape), however
+    the model was built; ``factors`` is a tuple of views of the group rows in
+    (arity, scope) order, made on first read.
     """
 
     __slots__ = ("num_nodes", "label_counts", "groups", "num_factors", "_factors", "_index_of_scope")
 
     def __init__(self, label_counts: Sequence[int], factors: Iterable[Factor] = ()):
-        # Factors that keep their scope to themselves stay in the view as
-        # given (they are immutable); merged ones are made on first read.
+        # Stacked per table shape, the factors take the same path as arrays;
+        # the model keeps none of the given objects.
         by_shape: dict[tuple[int, ...], list[Factor]] = {}
         for f in factors:
             by_shape.setdefault(f.table.shape, []).append(f)
-        blocks = [
+        self._store(label_counts, [
             (np.array([f.scope for f in fs], dtype=np.int64), np.array([f.table for f in fs]))
             for fs in by_shape.values()
-        ]
-        ordered = all(a.scope < b.scope for fs in by_shape.values() for a, b in zip(fs, fs[1:]))
-        sources = self._store(label_counts, blocks, factors=True, ordered=ordered)
-        view: list[Factor | None] = [None] * self.num_factors
-        for g, source in zip(self.groups, sources):
-            fs = by_shape[g.tables.shape[1:]]
-            for p, src in zip(g.positions.tolist(), source.tolist()):
-                if src >= 0:
-                    view[p] = fs[src]
-        merged = self.num_factors < sum(map(len, by_shape.values()))
-        self._factors = view if merged else tuple(view)
+        ])
 
     @classmethod
     def from_arrays(cls, label_counts: Sequence[int], blocks) -> "GraphicalModel":
@@ -198,9 +194,8 @@ class GraphicalModel:
         input order: repeated scopes add in that order.  The model takes the
         arrays over where their dtype fits and no scope repeats or needs
         sorting: they are made read-only, so pass arrays nothing else writes
-        to.  Its ``factors`` view is made on first read."""
+        to."""
         model = cls.__new__(cls)
-        model._factors = None
         blocks = [
             (np.asarray(scopes, dtype=np.int64), np.asarray(tables, dtype=np.float64))
             for scopes, tables in blocks
@@ -210,18 +205,17 @@ class GraphicalModel:
                 raise DomainError(
                     f"scopes {scopes.shape} and tables {tables.shape} do not form one factor per row"
                 )
-        model._store(label_counts, blocks, factors=False, ordered=False)
+        model._store(label_counts, blocks)
         return model
 
-    def _store(self, label_counts: Sequence[int], blocks, factors: bool, ordered: bool) -> list[np.ndarray]:
-        """Validate, merge and group the blocks (``factors`` and ``ordered`` as
-        for ``_check_group`` and ``_merge``); returns each group's merge
-        sources, row for row."""
+    def _store(self, label_counts: Sequence[int], blocks) -> None:
+        """Validate, merge and group the (scopes, tables) blocks."""
         counts = tuple(int(k) for k in label_counts)
         if any(k < 1 for k in counts):
             raise DomainError(f"label counts must be >= 1, got {counts}")
         n = self.num_nodes = len(counts)
         self.label_counts = counts
+        self._factors = None
         self._index_of_scope = None
         # With one label count everywhere, every in-range scope fits a table
         # of that count on each axis: only other shapes need the row check.
@@ -232,7 +226,7 @@ class GraphicalModel:
         for scopes, tables in blocks:
             if len(scopes):
                 by_shape.setdefault(tables.shape[1:], []).append((scopes, tables))
-        groups, sources = [], []
+        groups = []
         offset = 0
         for arity, shapes in itertools.groupby(sorted(by_shape, key=lambda s: (len(s), s)), key=len):
             same = []
@@ -241,35 +235,26 @@ class GraphicalModel:
                 scopes = np.concatenate([s for s, _ in parts]) if len(parts) > 1 else parts[0][0]
                 tables = np.concatenate([t for _, t in parts]) if len(parts) > 1 else parts[0][1]
                 checked = None if shape == uniform * arity else count_arr
-                _check_group(scopes, tables, n, checked, factors)
-                same.append(_merge(scopes, tables, n, ordered))
+                _check_group(scopes, tables, n, checked)
+                same.append(_merge(scopes, tables, n))
             # Positions: (arity, scope) order across the groups of one arity.
             size = sum(len(m[0]) for m in same)
             rank = np.arange(offset, offset + size)
             if len(same) > 1:
                 rank[np.lexsort(np.concatenate([m[0] for m in same]).T[::-1])] = rank.copy()
-            for scopes, tables, source in same:
+            for scopes, tables in same:
                 groups.append(FactorGroup(scopes, tables, rank[: len(scopes)]))
-                sources.append(source)
                 rank = rank[len(scopes) :]
             offset += size
         self.groups = tuple(groups)
         self.num_factors = offset
-        return sources
 
     @property
     def factors(self) -> tuple[Factor, ...]:
-        """The factors in (arity, scope) order, as ``Factor`` objects."""
-        view = self._factors
-        if isinstance(view, tuple):
-            return view
-        if view is None:
-            view = [None] * self.num_factors
-        for g in self.groups:
-            for i, (p, scope) in enumerate(zip(g.positions.tolist(), g.scopes.tolist())):
-                if view[p] is None:
-                    view[p] = Factor._of_row(tuple(scope), g.tables[i, ...])
-        self._factors = tuple(view)
+        """The factors in (arity, scope) order, as ``Factor`` views of the
+        group rows."""
+        if self._factors is None:
+            self._factors = tuple(itertools.starmap(Factor._of_row, _factor_rows(self)))
         return self._factors
 
     # -- basic structure -------------------------------------------------
@@ -463,6 +448,16 @@ class Reparametrization:
 # -- operations -----------------------------------------------------------
 
 
+def _subset_mask(model: GraphicalModel, nodes: Iterable[int]) -> np.ndarray:
+    """The boolean node mask of a subset; ids outside the model raise."""
+    node_list = sorted(set(int(v) for v in nodes))
+    if node_list and (node_list[0] < 0 or node_list[-1] >= model.num_nodes):
+        raise DomainError("subset contains invalid node ids")
+    inside = np.zeros(model.num_nodes, dtype=bool)
+    inside[node_list] = True
+    return inside
+
+
 def _sum_in_order(model: GraphicalModel, labels: np.ndarray, inside: np.ndarray | None = None) -> float:
     """The factors' values at ``labels``, one gather per group, summed by
     ``np.cumsum`` one by one from 0.0 in (arity, scope) order (``np.sum``
@@ -485,14 +480,10 @@ def restricted_energy(model: GraphicalModel, nodes: Iterable[int], x: PartialLab
 
     ``x`` must assign a label to every node of ``nodes`` (it may cover more).
     """
-    subset = sorted(set(int(v) for v in nodes))
-    if subset and (subset[0] < 0 or subset[-1] >= model.num_nodes):
-        raise DomainError("node subset outside model range")
-    if not x.covers(subset):
+    inside = _subset_mask(model, nodes)
+    if not x.covers(np.flatnonzero(inside).tolist()):
         raise DomainError("partial labeling does not cover the requested subset")
     x.validate(model)
-    inside = np.zeros(model.num_nodes, dtype=bool)
-    inside[subset] = True
     labels = np.zeros(model.num_nodes, dtype=np.int64)
     labels[list(x.domain)] = x.labels
     return _sum_in_order(model, labels, inside)

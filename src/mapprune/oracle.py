@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidLabelingError
-from .model import GraphicalModel, Labeling, PartialLabeling
+from .errors import InvalidLabelingError
+from .model import GraphicalModel, Labeling, PartialLabeling, _subset_mask
 # solve_bruteforce is not called here, but stays importable from this
 # module: perfbench/tracing.py wraps it under this module's name.
 from .solvers import ENUMERATION_CAP, TIE_TOL, _energy_table, solve_bruteforce  # noqa: F401
@@ -99,9 +99,7 @@ def verify_improving(
     points); it improves strictly when every non-fixed labeling loses
     strictly.  Returns (improving report, strictly-improving report).
     """
-    subset = tuple(sorted(set(int(v) for v in nodes)))
-    if not all(0 <= v < model.num_nodes for v in subset):
-        raise DomainError("subset contains invalid node ids")
+    subset = np.flatnonzero(_subset_mask(model, nodes)).tolist()
     ys = model.validate_labeling(y)
 
     e = _energy_table(model, cap)

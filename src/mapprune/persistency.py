@@ -220,19 +220,21 @@ def prune(
         # fractional output (uniform mass) over more than one label.
         local = aug.local_index()
         boundary = aug.test_labeling.domain
-        disagreeing = []
+        disagreeing = set()
         for v in boundary:
             l = out.labels[local[v]]
             if (work.label_counts[v] > 1) if l is None else (l != prev_labels[v]):
-                disagreeing.append(v)
+                disagreeing.add(v)
         survivors = []
         new_labels = {}
+        fractional = 0
         for v in prev_domain:
             l = out.labels[local[v]]
-            if l is None or v in disagreeing:
-                continue
-            survivors.append(v)
-            new_labels[v] = l
+            if l is None:
+                fractional += 1
+            elif v not in disagreeing:
+                survivors.append(v)
+                new_labels[v] = l
         test_energy = energy(
             aug.model, [prev_labels[aug.nodes[i]] for i in range(len(aug.nodes))]
         )
@@ -243,7 +245,7 @@ def prune(
                 test_labels=tuple(prev_labels[v] for v in prev_domain),
                 boundary_size=len(boundary),
                 disagreeing=len(disagreeing),
-                fractional_pruned=sum(1 for v in prev_domain if out.labels[local[v]] is None),
+                fractional_pruned=fractional,
                 solver_iterations=out.iterations,
                 certificate=out.certificate,
                 test_energy=test_energy,

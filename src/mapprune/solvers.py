@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
-from .model import GraphicalModel, Reparametrization, energies_close, energy
+from .model import GraphicalModel, Reparametrization, _factor_rows, energies_close, energy
 from .polytope import SNAP_TOL, Marginals, build_lp
 from .simplex import solve_standard_form
 
@@ -101,15 +101,7 @@ def _energy_table(model: GraphicalModel, cap: int) -> np.ndarray:
     if total > cap:
         raise StateSpaceCapError(f"state space {total} exceeds cap {cap}")
     e = np.zeros(model.label_counts)
-    factors = sorted(
-        (
-            (p, scope, table)
-            for g in model.groups
-            for p, scope, table in zip(g.positions.tolist(), g.scopes.tolist(), g.tables)
-        ),
-        key=lambda f: f[0],
-    )
-    for _, scope, table in factors:
+    for scope, table in _factor_rows(model):
         shape = [1] * model.num_nodes
         for v, k in zip(scope, table.shape):
             shape[v] = k

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import UaiParseError
-from .model import GraphicalModel
+from .model import GraphicalModel, _factor_rows
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     out = []
@@ -164,15 +164,16 @@ def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:
 
 def write_uai(model: GraphicalModel) -> str:
     """Serialize with 17 significant digits (float64 round-trips exactly)."""
+    rows = _factor_rows(model)
     lines = ["MARKOV", str(model.num_nodes)]
     lines.append(" ".join(str(k) for k in model.label_counts))
-    lines.append(str(len(model.factors)))
-    for f in model.factors:
-        lines.append(f"{f.arity} " + " ".join(str(v) for v in f.scope))
-    for f in model.factors:
+    lines.append(str(len(rows)))
+    for scope, _ in rows:
+        lines.append(f"{len(scope)} " + " ".join(str(v) for v in scope))
+    for _, table in rows:
+        flat = table.ravel().tolist()  # Python floats format faster, to the same text
         lines.append("")
-        lines.append(str(f.table.size))
-        flat = f.table.ravel()
-        for start in range(0, flat.size, 8):
+        lines.append(str(len(flat)))
+        for start in range(0, len(flat), 8):
             lines.append(" " + " ".join(f"{x:.17g}" for x in flat[start : start + 8]))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +41,19 @@ class TestBoundarySets:
         m = three_chain()
         assert [m.factors[i].scope for i in sets.boundary_factors] == [(1, 2)]
         assert sets.interior_nodes == (0,)
+
+    def test_invalid_node_ids_rejected(self):
+        # -1 must not be read as the last node, nor 3 fail with IndexError.
+        m = three_chain()
+        y = PartialLabeling((0, 1, 2), (0, 0, 0))
+        for nodes in ([-1], [3]):
+            for call in (
+                lambda: boundary_sets(m, nodes),
+                lambda: build_augmented_model(m, nodes, y),
+                lambda: boundary_potential(m, 4, nodes, y),
+            ):
+                with pytest.raises(DomainError, match="invalid node ids"):
+                    call()
 
     def test_full_set_has_no_boundary(self):
         sets = boundary_sets(three_chain(), [0, 1, 2])
@@ -406,12 +420,33 @@ class TestGroupedCoreMatchesReference:
         want = (tables[0] + tables[1]) + tables[2]
         assert m.factors[0].table.tobytes() == want.tobytes()
 
-    def test_given_factors_are_kept(self):
+    def test_given_factors_are_not_kept(self):
         m = three_chain()
         given = [Factor((1, 2), [[1, 0], [0, 3]]), Factor((0,), [0.0, 1.0])]
+        refs = [weakref.ref(obj) for f in given for obj in (f, f.table)]
         model = GraphicalModel([2, 2, 2], given)
-        assert model.factors[0] is given[1] and model.factors[1] is given[0]
+        del given
+        assert [r() for r in refs] == [None] * len(refs)
+        assert [f.scope for f in model.factors] == [(0,), (1, 2)]
         assert m == GraphicalModel(m.label_counts, reversed(m.factors))
+
+    def test_boundary_potentials(self, rng):
+        checked = 0
+        for m in _core_models(rng):
+            for _ in range(4):
+                nodes = [v for v in range(m.num_nodes) if rng.uniform() < 0.6]
+                y = PartialLabeling(
+                    tuple(range(m.num_nodes)),
+                    tuple(int(rng.integers(k)) for k in m.label_counts),
+                )
+                for i in boundary_sets(m, nodes).boundary_factors:
+                    for mode in ("original", "optimal") if m.is_pairwise else ("original",):
+                        scope, table = boundary_potential(m, i, nodes, y, mode)
+                        want_scope, want = _reference_potential(m.factors[i], set(nodes), y, mode)
+                        assert scope == want_scope and table.shape == want.shape
+                        assert table.tobytes() == np.ascontiguousarray(want).tobytes()
+                        checked += 1
+        assert checked > 200
 
     def test_array_paths_build_no_factor_objects(self, rng, monkeypatch):
         from mapprune import (
@@ -423,6 +458,7 @@ class TestGroupedCoreMatchesReference:
             optimal_reparametrization,
             prune,
             solve_lp_exact,
+            write_uai,
         )
         from mapprune.solvers import _TrwsRun
 
@@ -436,13 +472,17 @@ class TestGroupedCoreMatchesReference:
         aug = build_augmented_model(m, [0, 1, 2, 4], y)
         energy(aug.model, [0] * 4)
         _TrwsRun(aug.model)
-        # The reparametrization, the LP and restricted energies read the groups too.
+        # The reparametrization, the LP, restricted energies, one-factor
+        # boundary potentials and serialization read the groups too.
         arrays = GraphicalModel.from_arrays(m.label_counts, [(g.scopes, g.tables) for g in m.groups])
         x = [0] * 6
         apply_reparametrization(arrays, optimal_reparametrization(arrays, x))
         build_lp(arrays)
         solve_lp_exact(arrays)
         restricted_energy(arrays, [0, 1, 2], y)
+        for i in boundary_sets(arrays, [0, 1, 2]).boundary_factors:
+            boundary_potential(arrays, i, [0, 1, 2], y)
+        write_uai(arrays)
         arrays.unary_table(0)
         mu = delta(arrays, x)
         linear_energy(arrays, mu)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,16 +8,19 @@ from mapprune import (
     Factor,
     GraphicalModel,
     InstanceSpec,
+    PartialLabeling,
     StopRule,
     UaiParseError,
+    build_augmented_model,
     generate,
     parse_uai,
     persistency_percentage,
     __version__,
     write_uai,
 )
-from mapprune.cli import _stop_rule, build_parser, main
+from mapprune.cli import _spec_from_args, _stop_rule, build_parser, main
 from conftest import random_with_ternary
+from test_boundary import _core_models
 
 
 def constant_model() -> GraphicalModel:
@@ -51,6 +55,38 @@ class TestParseUai:
     def test_roundtrip_constant_factor(self):
         m = constant_model()
         assert parse_uai(write_uai(m)) == m
+
+    def test_write_uai_golden_digest(self, rng):
+        """The bytes of write_uai over seeded models of every layout: the
+        core models (constants, mixed label counts, ternaries, signed zeros),
+        each generator kind, repeated scopes, hard constraints and
+        augmented models."""
+        models = list(_core_models(rng))
+        for kind, extra in [
+            ("potts-grid", dict(height=3, width=4, labels=3)),
+            ("random-pairwise", dict(num_nodes=6, labels=3)),
+            ("random-hyper", dict(num_nodes=6, labels=2, hyper_count=3)),
+            ("frustrated-cycle", dict(num_nodes=5, labels=2)),
+        ]:
+            models += [generate(InstanceSpec(kind=kind, seed=s, **extra)) for s in range(3)]
+        models.append(GraphicalModel([2, 3], [
+            Factor((0, 1), rng.uniform(-1, 1, (2, 3))),
+            Factor((1,), [0.1, 1e16, 3.0]),
+            Factor((0, 1), rng.uniform(-1, 1, (2, 3))),
+            Factor((1,), [0.2, 1.0, -0.0]),
+        ]))
+        models.append(parse_uai("MARKOV\n3\n2 2 2\n3\n2 0 1\n2 1 2\n2 0 2\n"
+                                + "\n4\n 0 1 1 0\n" * 3, values="probability"))
+        for m in list(models):
+            inside = [v for v in range(m.num_nodes) if rng.uniform() < 0.6]
+            y = PartialLabeling(
+                tuple(range(m.num_nodes)), tuple(int(rng.integers(k)) for k in m.label_counts)
+            )
+            models.append(build_augmented_model(m, inside, y).model)
+        h = hashlib.sha256()
+        for m in models:
+            h.update(write_uai(m).encode())
+        assert h.hexdigest() == "9979733b0c1b862cd8150e4da91d2fe959afeb750743ee7eabdd189c3bbb9233"
 
     def test_probability_mode_rejects_zero_constant(self):
         text = write_uai(constant_model()).replace("\n -10\n", "\n 0\n")
@@ -310,6 +346,16 @@ class TestCli:
         for command in ("solve", "prune"):
             args = build_parser().parse_args([command, "m.uai"])
             assert _stop_rule(args) == StopRule()
+
+    def test_gen_and_bench_share_instance_args(self):
+        for kind, tail in [
+            ("potts-grid", ["--hw", "3x4", "--labels", "3", "--coupling", "0.1,0.2", "--noise", "0,0.5"]),
+            ("random-hyper", ["--nodes", "7", "--edge-prob", "0.3", "--hyper-count", "2", "--labels", "4"]),
+            ("random-pairwise", ["--nodes", "5"]),
+        ]:
+            gen = build_parser().parse_args(["gen", "--kind", kind, *tail])
+            bench = build_parser().parse_args(["bench", "--gen", kind, *tail])
+            assert _spec_from_args(gen, 5) == _spec_from_args(bench, 5)
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"

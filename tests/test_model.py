@@ -115,6 +115,12 @@ class TestRestrictedEnergy:
         with pytest.raises(DomainError):
             restricted_energy(chain_model(), [0, 1], PartialLabeling((0,), (0,)))
 
+    def test_invalid_node_ids_rejected(self):
+        full = PartialLabeling((0, 1), (0, 0))
+        for nodes in ([-1], [2]):
+            with pytest.raises(DomainError, match="invalid node ids"):
+                restricted_energy(chain_model(), nodes, full)
+
 
 class TestConcatenate:
     def test_merge(self):

@@ -90,7 +90,7 @@ class TestVerifyImproving:
 
     def test_invalid_node_ids_rejected(self):
         # -1 must not be read as the last node, nor 5 fail with IndexError.
-        for nodes in ([-1], [5]):
+        for nodes in ([-1], [2], [5]):
             with pytest.raises(DomainError, match="invalid node ids"):
                 verify_improving(chain_model(), nodes, (0, 0))
 
