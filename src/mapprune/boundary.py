@@ -127,9 +127,11 @@ def boundary_potential(
 
 @dataclass(frozen=True)
 class AugmentedModel:
-    """A model over the subset A (re-indexed densely) plus index maps.
+    """A model over the subset A (re-indexed densely) plus its node ids.
 
-    ``nodes[i]`` is the original id of local node i.  Energies of labelings
+    ``nodes`` is A in ascending order and ``nodes[i]`` the original id of
+    local node i, so any per-node array of the model (a labeling, a solver
+    output, a mask) lines up with A's nodes in order.  Energies of labelings
     over A equal the inside energy plus all boundary-potential terms.
     """
 
@@ -138,14 +140,10 @@ class AugmentedModel:
     test_labeling: PartialLabeling
     mode: str
 
-    def local_index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.nodes)}
-
     def to_original_partial(self, labels: Sequence[int | None]) -> PartialLabeling:
-        pairs = {
-            self.nodes[i]: int(l) for i, l in enumerate(labels) if l is not None
-        }
-        return PartialLabeling.from_mapping(pairs)
+        return PartialLabeling.from_mapping(
+            {v: int(l) for v, l in zip(self.nodes, labels) if l is not None}
+        )
 
 
 def build_augmented_model(

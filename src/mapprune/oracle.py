@@ -17,7 +17,7 @@ from .errors import InvalidLabelingError
 from .model import GraphicalModel, Labeling, PartialLabeling, _subset_mask
 # solve_bruteforce is not called here, but stays importable from this
 # module: perfbench/tracing.py wraps it under this module's name.
-from .solvers import ENUMERATION_CAP, TIE_TOL, _energy_table, solve_bruteforce  # noqa: F401
+from .solvers import ENUMERATION_CAP, TIE_TOL, _energy_table, _tied, solve_bruteforce  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ def _claimed(model: GraphicalModel, nodes, x: PartialLabeling) -> tuple[slice, .
     if not x.covers(subset):
         raise InvalidLabelingError("labeling does not cover the claimed subset")
     x.validate(model)
-    return _clamped(model, {v: x.label_of(v) for v in subset})
+    labels = x.as_mapping()
+    return _clamped(model, {v: labels[v] for v in subset})
 
 
 def _outside(shape: tuple[int, ...], index: tuple[slice, ...]) -> np.ndarray:
@@ -61,18 +62,12 @@ def _labeling(shape: tuple[int, ...], row) -> tuple[int, ...]:
     return tuple(int(l) for l in np.unravel_index(int(row), shape))
 
 
-def _tied(model: GraphicalModel, cap: int) -> np.ndarray:
-    """Which joint labelings are within TIE_TOL of the minimum energy."""
-    e = _energy_table(model, cap)
-    return e <= e.min() + TIE_TOL
-
-
 def verify_persistent(
     model: GraphicalModel, nodes, x: PartialLabeling, cap: int = ENUMERATION_CAP
 ) -> OracleReport:
     """Does some global optimum agree with x on the subset?"""
     claimed = _claimed(model, nodes, x)
-    tied = _tied(model, cap)
+    tied = _tied(_energy_table(model, cap))
     holds = bool(tied[claimed].any())
     witness = None if holds else _labeling(tied.shape, np.argmax(tied))
     return OracleReport("persistent", holds, witness, int(np.count_nonzero(tied)))
@@ -83,7 +78,7 @@ def verify_strongly_persistent(
 ) -> OracleReport:
     """Does every global optimum agree with x on the subset?"""
     claimed = _claimed(model, nodes, x)
-    tied = _tied(model, cap)
+    tied = _tied(_energy_table(model, cap))
     failing = tied & _outside(tied.shape, claimed)
     witness = _labeling(tied.shape, np.argmax(failing)) if failing.any() else None
     return OracleReport("strongly-persistent", witness is None, witness, int(np.count_nonzero(tied)))

@@ -157,6 +157,12 @@ def prune(
     ``stop`` defaults to ``StopRule()``, whose stall rule ends a solve
     after 20 passes without more committed nodes.  The loop records'
     ``solver_iterations`` count the passes made from that warm state.
+
+    A is kept as a sorted node array and the test labeling as one array
+    over all nodes (-1 where no label is committed).  Local node i of each
+    augmented model is A's i-th node, so the solver's output and the
+    boundary, fractional, disagreeing and surviving masks are all in A's
+    order, and the survivors, in order, are the next A.
     """
     solver = _canon_solver(solver)
     if mode not in ("original", "optimal"):
@@ -166,11 +172,11 @@ def prune(
     if solver == "trws" and not model.is_pairwise:
         raise UnsupportedArityError("the trws solver needs a pairwise model")
 
-    notes: list[str] = []
-    out0 = _solve(model, solver, stop, cap)
-    domain = tuple(out0.committed_nodes)
-    labels = {v: out0.labels[v] for v in domain}
-    trace: list[IterationRecord] = [
+    out = _solve(model, solver, stop, cap)
+    # The test labeling over all nodes (-1: not committed); A is its support.
+    labels = np.array([-1 if l is None else l for l in out.labels], dtype=np.int64)
+    domain = np.flatnonzero(labels >= 0)
+    trace = [
         IterationRecord(
             t=0,
             domain=tuple(range(model.num_nodes)),
@@ -178,97 +184,73 @@ def prune(
             boundary_size=0,
             disagreeing=0,
             fractional_pruned=model.num_nodes - len(domain),
-            solver_iterations=out0.iterations,
-            certificate=out0.certificate,
-            test_energy=out0.objective_bound,
+            solver_iterations=out.iterations,
+            certificate=out.certificate,
+            test_energy=out.objective_bound,
         )
     ]
 
-    if not domain:
-        return PersistencyResult(
-            a_star=(), x_star=PartialLabeling.empty(), trace=tuple(trace),
-            mode=mode, solver=solver, notes=tuple(notes),
-        )
-
     work = model
-    messages = out0.messages
-    if mode == "optimal":
-        extended = [0] * model.num_nodes
-        for v, l in labels.items():
-            extended[v] = l
-        phi = optimal_reparametrization(model, extended)
+    messages = out.messages
+    if mode == "optimal" and len(domain):
+        phi = optimal_reparametrization(model, np.maximum(labels, 0))
         work = apply_reparametrization(model, phi)
         if messages is not None:
             # The same message state, on the reparametrized model.
             messages = Reparametrization(messages.forward - phi.forward, messages.backward - phi.backward)
-    start = _surviving_messages(work, messages, np.isin(np.arange(model.num_nodes), domain))
+    start = _surviving_messages(work, messages, labels >= 0)
+    counts = np.array(model.label_counts, dtype=np.int64)
 
-    t = 0
-    while True:
-        t += 1
-        prev_domain = domain
-        prev_labels = dict(labels)
-        y = PartialLabeling.from_mapping(prev_labels)
-        aug = build_augmented_model(work, prev_domain, y, mode="original")
-        assert start is None or len(start.forward) == len(aug.model._scopes(2))
+    # Until A is empty or a solve drops none of it.
+    size = model.num_nodes + 1  # more than any A
+    while 0 < len(domain) < size:
+        size = len(domain)
+        test = labels[domain]
+        aug = build_augmented_model(
+            work, domain, PartialLabeling(tuple(domain.tolist()), tuple(test.tolist())), mode="original"
+        )
         out = _solve(aug.model, solver, stop, cap, start)
         if subproblem_hook is not None:
             subproblem_hook(aug, out)
 
         # A boundary node disagrees when its new output keeps less than all of
-        # its mass on its previous label: a different committed label, or a
+        # its mass on its test label: a different committed label, or a
         # fractional output (uniform mass) over more than one label.
-        local = aug.local_index()
-        boundary = aug.test_labeling.domain
-        disagreeing = set()
-        for v in boundary:
-            l = out.labels[local[v]]
-            if (work.label_counts[v] > 1) if l is None else (l != prev_labels[v]):
-                disagreeing.add(v)
-        survivors = []
-        new_labels = {}
-        fractional = 0
-        for v in prev_domain:
-            l = out.labels[local[v]]
-            if l is None:
-                fractional += 1
-            elif v not in disagreeing:
-                survivors.append(v)
-                new_labels[v] = l
-        test_energy = energy(
-            aug.model, [prev_labels[aug.nodes[i]] for i in range(len(aug.nodes))]
-        )
+        got = np.array([-1 if l is None else l for l in out.labels], dtype=np.int64)
+        fractional = got < 0
+        boundary = np.zeros(len(domain), dtype=bool)
+        boundary[np.searchsorted(domain, aug.test_labeling.domain)] = True
+        disagreeing = boundary & np.where(fractional, counts[domain] > 1, got != test)
+        survive = ~fractional & ~disagreeing
         trace.append(
             IterationRecord(
-                t=t,
-                domain=prev_domain,
-                test_labels=tuple(prev_labels[v] for v in prev_domain),
-                boundary_size=len(boundary),
-                disagreeing=len(disagreeing),
-                fractional_pruned=fractional,
+                t=len(trace),
+                domain=tuple(domain.tolist()),
+                test_labels=tuple(test.tolist()),
+                boundary_size=int(boundary.sum()),
+                disagreeing=int(disagreeing.sum()),
+                fractional_pruned=int(fractional.sum()),
                 solver_iterations=out.iterations,
                 certificate=out.certificate,
-                test_energy=test_energy,
+                test_energy=energy(aug.model, test),
             )
         )
+        labels[domain] = np.where(survive, got, -1)
+        domain = domain[survive]
+        start = _surviving_messages(aug.model, out.messages, survive)
 
-        domain = tuple(survivors)
-        labels = new_labels
-        if domain == prev_domain:
-            break
-        if not domain:
-            notes.append("pruned to the empty set")
-            break
-        start = _surviving_messages(aug.model, out.messages, np.isin(aug.nodes, survivors))
-
-    if solver == "exact-lp":
+    notes = []
+    looped = len(trace) > 1
+    if looped and not len(domain):
+        notes.append("pruned to the empty set")
+    if looped and solver == "exact-lp":
         notes.append(
             "labels fixed by the simplex vertex choice; LP-optimum uniqueness not verified"
         )
-    x_star = PartialLabeling.from_mapping(labels)
     return PersistencyResult(
-        a_star=domain, x_star=x_star, trace=tuple(trace),
-        mode=mode, solver=solver, notes=tuple(notes),
+        a_star=tuple(domain.tolist()),
+        x_star=PartialLabeling(tuple(domain.tolist()), tuple(labels[domain].tolist())),
+        trace=tuple(trace), mode=mode, solver=solver, notes=tuple(notes),
     )
 
 
@@ -286,7 +268,11 @@ def check_criterion(
 
     solver="bruteforce" checks the exact combinatorial criterion;
     solver="exact-lp" the relaxed one (which implies it); solver="trws"
-    certifies only when the dual bound matches the test energy.
+    certifies only when the dual bound matches the test energy.  The
+    augmented model's local node i is the i-th smallest node of the subset,
+    so x0's labels on the subset, in node order, are its test labeling.  The
+    witness is the solver's labeling under trws or when the criterion fails,
+    else x0 on the subset.
     """
     solver = _canon_solver(solver)
     node_list = tuple(sorted(set(int(v) for v in nodes)))
@@ -296,32 +282,17 @@ def check_criterion(
         raise DomainError("x0 must cover the candidate subset")
 
     aug = build_augmented_model(model, node_list, x0, mode=mode)
-    x0_local = [x0.label_of(v) for v in aug.nodes]
-    reference = energy(aug.model, x0_local)
-
-    if solver == "bruteforce":
-        best, value, _ = solve_bruteforce(aug.model, cap)
-        holds = _not_above(reference, value, tol)
-        witness = aug.to_original_partial(best if not holds else x0_local)
-        return CriterionVerdict(
-            holds=holds, optimum=value, reference=reference,
-            witness_labeling=witness, certificate="exact-ilp",
-        )
+    test = x0.restrict(node_list)
+    reference = energy(aug.model, test.labels)
     if solver == "exact-lp":
-        mu, value, out = solve_lp_exact(aug.model)
-        holds = _not_above(reference, value, tol)
-        return CriterionVerdict(
-            holds=holds, optimum=value, reference=reference,
-            witness_labeling=aug.to_original_partial(out.labels) if not holds else x0.restrict(node_list),
-            witness_marginals=mu, certificate="exact-lp",
-        )
-    out = solve_trws(aug.model)
-    bound = out.objective_bound
-    holds = _not_above(reference, bound, tol)
+        mu, _, out = solve_lp_exact(aug.model)
+    else:
+        mu, out = None, _solve(aug.model, solver, None, cap)
+    holds = _not_above(reference, out.objective_bound, tol)
     return CriterionVerdict(
-        holds=holds, optimum=bound, reference=reference,
-        witness_labeling=aug.to_original_partial(out.labels),
-        certificate="tree-agreement",
+        holds=holds, optimum=out.objective_bound, reference=reference,
+        witness_labeling=aug.to_original_partial(out.labels) if solver == "trws" or not holds else test,
+        witness_marginals=mu, certificate=out.certificate,
     )
 
 
@@ -359,13 +330,12 @@ def strong_persistency_scan(
         subset = tuple(agreeing[i] for i in range(len(agreeing)) if mask >> i & 1)
         x = PartialLabeling(subset, tuple(ref[v] for v in subset))
         aug = build_augmented_model(model, subset, x)
-        x_local = [x.label_of(v) for v in aug.nodes]
-        reference = energy(aug.model, x_local)
+        reference = energy(aug.model, x.labels)
         lp = build_lp(aug.model)
         res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
         if not _not_above(reference, res.value, CRITERION_TOL):
             continue
-        if not _pinned_on_optimal_face(lp, res.value, list(enumerate(x_local))):
+        if not _pinned_on_optimal_face(lp, res.value, list(enumerate(x.labels))):
             continue
         found.append((subset, x))
         if len(subset) > len(maximal):

@@ -91,21 +91,28 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
+        """Parse a report; raises ValueError when ``text`` is not a report
+        object, lacks a field or holds a field of the wrong type."""
         payload = json.loads(text)
-        if payload.get("format") != REPORT_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
             raise ValueError(f"not a {REPORT_FORMAT} document")
-        return cls(
-            instance=payload["instance"],
-            solver=payload["solver"],
-            mode=payload["mode"],
-            a_star=tuple(int(v) for v in payload["a_star"]),
-            x_star={int(v): int(l) for v, l in payload["x_star"].items()},
-            percentage=float(payload["percentage"]),
-            trace=payload["trace"],
-            wall_time_s=float(payload["wall_time_s"]),
-            notes=tuple(payload.get("notes", ())),
-            verification=payload.get("verification"),
-        )
+        try:
+            return cls(
+                instance=payload["instance"],
+                solver=payload["solver"],
+                mode=payload["mode"],
+                a_star=tuple(int(v) for v in payload["a_star"]),
+                x_star={int(v): int(l) for v, l in payload["x_star"].items()},
+                percentage=float(payload["percentage"]),
+                trace=payload["trace"],
+                wall_time_s=float(payload["wall_time_s"]),
+                notes=tuple(payload.get("notes", ())),
+                verification=payload.get("verification"),
+            )
+        except KeyError as e:
+            raise ValueError(f"{REPORT_FORMAT} document has no field {e.args[0]!r}") from None
+        except (TypeError, AttributeError) as e:
+            raise ValueError(f"malformed {REPORT_FORMAT} document: {e}") from None
 
     def x_star_partial(self) -> PartialLabeling:
         return PartialLabeling.from_mapping(self.x_star)

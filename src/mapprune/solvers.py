@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
-from .model import GraphicalModel, Reparametrization, _factor_rows, energies_close, energy
+from .model import GraphicalModel, Reparametrization, _factor_rows, _sum_in_order, energies_close, energy
 from .polytope import SNAP_TOL, Marginals, build_lp
 from .simplex import solve_standard_form
 
@@ -109,6 +109,11 @@ def _energy_table(model: GraphicalModel, cap: int) -> np.ndarray:
     return e
 
 
+def _tied(e: np.ndarray) -> np.ndarray:
+    """Which entries of a joint energy array are within TIE_TOL of its minimum."""
+    return e <= e.min() + TIE_TOL
+
+
 def solve_bruteforce(
     model: GraphicalModel, cap: int = ENUMERATION_CAP
 ) -> tuple[tuple[int, ...], float, np.ndarray]:
@@ -120,13 +125,12 @@ def solve_bruteforce(
     optima.  ``x`` is its first row, as a tuple of ints.
     """
     e = _energy_table(model, cap)
-    best = float(e.min())
-    rows = np.flatnonzero(e <= best + TIE_TOL)
+    rows = np.flatnonzero(_tied(e))
     if model.num_nodes:
         optima = np.column_stack(np.unravel_index(rows, e.shape))
     else:
         optima = np.zeros((1, 0), dtype=np.int64)  # the one empty labeling
-    return tuple(optima[0].tolist()), best, optima
+    return tuple(optima[0].tolist()), float(e.min()), optima
 
 
 def bruteforce_output(model: GraphicalModel, cap: int = ENUMERATION_CAP) -> SolverOutput:
@@ -234,13 +238,11 @@ class _TrwsRun:
         self.ev = np.empty(num_edges, dtype=np.int64)
         self.tables = np.full((num_edges, k, k), np.inf)
         constants: list[float] = []
-        unary_nodes = [np.empty(0, dtype=np.int64)]
         for g in model.groups:
             if g.arity == 0:
                 constants = g.tables.tolist()
             elif g.arity == 1:
                 self.unary[g.scopes[:, 0], : g.tables.shape[1]] = g.tables
-                unary_nodes.append(g.scopes[:, 0])
         for g, e in model.edge_groups():
             self.eu[e], self.ev[e] = g.scopes.T
             self.tables[e, : g.tables.shape[1], : g.tables.shape[2]] = g.tables
@@ -323,11 +325,6 @@ class _TrwsRun:
             rows = _rows(owner, np.arange(len(edges)), len(nodes), len(edges))
             self.rounding_levels.append((nodes, edges, eu[edges], rows))
 
-        # energy(model, x) sums from 0.0 over the factors in stored order:
-        # the constant, then the unaries by node, then the edges.
-        self.energy_head = np.array([0.0] + constants)
-        self.unary_nodes = np.sort(np.concatenate(unary_nodes))
-
     def _batch(self, nodes, edges, pos, tables, receivers):
         """One level's gathered constants: the nodes' unaries, incoming rows
         and weights; its edges, each edge's sender position among the nodes,
@@ -401,15 +398,6 @@ class _TrwsRun:
             x[nodes] = score.argmin(axis=1)
         return x
 
-    def energy(self, x: np.ndarray) -> float:
-        """energy(model, x), with the same sum in the same order."""
-        terms = np.concatenate((
-            self.energy_head,
-            self.unary[self.unary_nodes, x[self.unary_nodes]],
-            self.tables[np.arange(len(self.eu)), x[self.eu], x[self.ev]],
-        ))
-        return float(np.cumsum(terms)[-1])
-
     def commitments(self, unaries: np.ndarray) -> tuple[int | None, ...]:
         """Committed labels under the strong-agreement rule.
 
@@ -476,7 +464,7 @@ def solve_trws(
         unaries = run.aggregates()
         best_bound = max(best_bound, lb)
         history.append(lb)
-        best_energy = min(best_energy, run.energy(run.extract_labeling(unaries)))
+        best_energy = min(best_energy, _sum_in_order(model, run.extract_labeling(unaries)))
 
         labels = run.commitments(unaries)
         committed = sum(1 for l in labels if l is not None)

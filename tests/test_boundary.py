@@ -452,6 +452,7 @@ class TestGroupedCoreMatchesReference:
         from mapprune import (
             apply_reparametrization,
             build_lp,
+            check_criterion,
             constraint_residuals,
             delta,
             linear_energy,
@@ -488,4 +489,6 @@ class TestGroupedCoreMatchesReference:
         linear_energy(arrays, mu)
         constraint_residuals(arrays, mu)
         prune(arrays, solver="exact-lp", mode="optimal")
+        for solver in ("bruteforce", "exact-lp", "trws"):
+            check_criterion(arrays, [0, 1, 2, 4], y, solver=solver)
         assert built == []

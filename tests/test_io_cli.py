@@ -272,6 +272,21 @@ class TestCli:
         assert code == 3
         assert "persistent: false" in out
 
+    @pytest.mark.parametrize("document, message", [
+        ('{"format": "mapprune-report-v1"}', "error: mapprune-report-v1 document has no field 'instance'"),
+        ("[1]", "error: not a mapprune-report-v1 document"),
+        ('{"format": "mapprune-report-v1", "instance": "m", "solver": "lp", "mode": "original", '
+         '"a_star": [0], "x_star": [1]}',
+         "error: malformed mapprune-report-v1 document: 'list' object has no attribute 'items'"),
+    ])
+    def test_verify_malformed_report_is_usage_error(self, tmp_path, capsys, document, message):
+        model_path = tmp_path / "m.uai"
+        report_path = tmp_path / "report.json"
+        self.write_pendant(model_path)
+        report_path.write_text(document)
+        assert main(["verify", str(report_path), str(model_path)]) == 1
+        assert capsys.readouterr().err.strip() == message
+
     def test_bench_deterministic_bytes(self, tmp_path):
         args = [
             "bench", "--gen", "potts-grid", "--hw", "3x3", "--labels", "2",

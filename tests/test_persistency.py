@@ -4,9 +4,11 @@ import pytest
 from mapprune import (
     Factor,
     GraphicalModel,
+    InstanceSpec,
     PartialLabeling,
     check_criterion,
     frustrated_cycle,
+    generate,
     improving_mapping_check,
     prune,
     strong_persistency_scan,
@@ -96,6 +98,25 @@ class TestPrune:
             sizes = [len(r.domain) for r in res.trace[1:]]
             for a, b in zip(sizes, sizes[1:]):
                 assert b < a or (b == a and sizes[-1] == b)
+
+    @pytest.mark.parametrize("mode", ["original", "optimal"])
+    @pytest.mark.parametrize("solver", ["exact-lp", "trws"])
+    def test_how_the_loop_exits(self, solver, mode):
+        """A loop that prunes every node notes it; after an initial solve
+        that commits no node, no loop solve runs and nothing is noted."""
+        m = generate(InstanceSpec(
+            "random-pairwise", labels=3, num_nodes=6, coupling=(0.0, 1.0),
+            noise=(0.0, 1.0), edge_probability=0.5, seed=1,
+        ))
+        res = prune(m, solver=solver, mode=mode)
+        assert res.a_star == () and res.x_star == PartialLabeling.empty()
+        assert res.loop_iterations > 0
+        assert "pruned to the empty set" in res.notes
+        lp_note = "labels fixed by the simplex vertex choice; LP-optimum uniqueness not verified"
+        assert (lp_note in res.notes) == (solver == "exact-lp")
+
+        res = prune(frustrated_cycle(), solver=solver, mode=mode)
+        assert res.a_star == () and len(res.trace) == 1 and res.notes == ()
 
     def test_modes_on_ternary_rejected(self, rng):
         m = random_with_ternary(rng)
