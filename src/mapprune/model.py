@@ -24,9 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidLabelingError, UnsupportedArityError
-
-# Absolute+relative tolerance used for energy comparisons throughout.
-ENERGY_TOL = 1e-9
+from .tolerance import ENERGY_TOL, scaled
 
 # A full labeling is just a sequence of label indices, one per node.
 Labeling = Sequence[int]
@@ -34,7 +32,7 @@ Labeling = Sequence[int]
 
 def energies_close(a: float, b: float, tol: float = ENERGY_TOL) -> bool:
     """Compare two energies with combined absolute and relative tolerance."""
-    return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))
+    return abs(a - b) <= scaled(tol, max(abs(a), abs(b)))
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:

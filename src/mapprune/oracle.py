@@ -17,7 +17,8 @@ from .errors import InvalidLabelingError
 from .model import GraphicalModel, Labeling, PartialLabeling, _subset_mask
 # solve_bruteforce is not called here, but stays importable from this
 # module: perfbench/tracing.py wraps it under this module's name.
-from .solvers import ENUMERATION_CAP, TIE_TOL, _energy_table, _tied, solve_bruteforce  # noqa: F401
+from .solvers import ENUMERATION_CAP, _energy_table, _tied, solve_bruteforce  # noqa: F401
+from .tolerance import TIE_TOL, within
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,10 @@ def verify_improving(
     fixed = _clamped(model, {v: ys[v] for v in subset})
     gain = e - e[fixed]
     i = np.argmin(gain)
-    improving = bool(gain.flat[i] >= -TIE_TOL)
+    improving = bool(within(-gain.flat[i], 0.0, TIE_TOL))
     worst = _labeling(e.shape, i)
     # The fixed points gain exactly 0; every other labeling is moved.
-    near_zero = (gain <= TIE_TOL) & _outside(e.shape, fixed)
+    near_zero = within(gain, 0.0, TIE_TOL) & _outside(e.shape, fixed)
     tie_breaker = _labeling(e.shape, np.argmax(near_zero)) if near_zero.any() else None
 
     strict = improving and tie_breaker is None

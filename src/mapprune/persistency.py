@@ -38,12 +38,7 @@ from .solvers import (
     solve_lp_exact,
     solve_trws,
 )
-
-# Energy-equality tolerance for criterion verdicts (absolute + relative).
-CRITERION_TOL = 1e-7
-# Slack on the summed pinned marginals when testing that every optimal LP
-# point keeps each pin at 1.
-PIN_SLACK = 1e-6
+from .tolerance import CRITERION_TOL, PIN_SLACK, scaled, within
 
 _SOLVER_ALIASES = {
     "lp": "exact-lp",
@@ -60,9 +55,10 @@ def _canon_solver(solver: str) -> str:
         raise DomainError(f"unknown solver {solver!r} (use exact-lp, trws or bruteforce)") from None
 
 
-def _not_above(reference: float, value: float, tol: float) -> bool:
-    """One-sided criterion test: reference <= value up to tol (abs + rel)."""
-    return reference <= value + tol * (1.0 + max(abs(reference), abs(value)))
+def _not_above(reference: float, value: float) -> bool:
+    """One-sided criterion test: reference <= value up to CRITERION_TOL,
+    relative to the larger magnitude."""
+    return within(reference, value, scaled(CRITERION_TOL, max(abs(reference), abs(value))))
 
 
 def _solve(
@@ -262,7 +258,6 @@ def check_criterion(
     mode: str = "original",
     *,
     cap: int = ENUMERATION_CAP,
-    tol: float = CRITERION_TOL,
 ) -> CriterionVerdict:
     """Does x0 minimize the boundary-augmented energy over the subset?
 
@@ -288,7 +283,7 @@ def check_criterion(
         mu, _, out = solve_lp_exact(aug.model)
     else:
         mu, out = None, _solve(aug.model, solver, None, cap)
-    holds = _not_above(reference, out.objective_bound, tol)
+    holds = _not_above(reference, out.objective_bound)
     return CriterionVerdict(
         holds=holds, optimum=out.objective_bound, reference=reference,
         witness_labeling=aug.to_original_partial(out.labels) if solver == "trws" or not holds else test,
@@ -333,7 +328,7 @@ def strong_persistency_scan(
         reference = energy(aug.model, x.labels)
         lp = build_lp(aug.model)
         res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
-        if not _not_above(reference, res.value, CRITERION_TOL):
+        if not _not_above(reference, res.value):
             continue
         if not _pinned_on_optimal_face(lp, res.value, list(enumerate(x.labels))):
             continue
@@ -343,18 +338,13 @@ def strong_persistency_scan(
     return found, maximal
 
 
-def improving_mapping_check(
-    model: GraphicalModel,
-    nodes,
-    y: Labeling,
-    *,
-    tol: float = CRITERION_TOL,
-) -> CriterionVerdict:
+def improving_mapping_check(model: GraphicalModel, nodes, y: Labeling) -> CriterionVerdict:
     """Is the all-to-one relabeling (send every node of A to y) LP-improving?
 
     Builds the shifted test energy whose value at y is 0 and solves its LP
-    over all nodes: the mapping improves iff the minimum is 0, and strictly
-    so iff every optimal marginal vector keeps all of A at y.
+    over all nodes: the mapping improves iff the minimum is 0 (down to
+    -CRITERION_TOL), and strictly so iff every optimal marginal vector keeps
+    all of A at y.
     """
     node_list = tuple(sorted(set(int(v) for v in nodes)))
     ys = model.validate_labeling(y)
@@ -365,7 +355,7 @@ def improving_mapping_check(
     gamma = build_gamma_model(model, node_list, ys)
     lp = build_lp(gamma.model)
     res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
-    holds = res.value >= -tol
+    holds = within(-res.value, 0.0, CRITERION_TOL)
     strict = None
     if holds:
         strict = _pinned_on_optimal_face(lp, res.value, [(v, ys[v]) for v in node_list])

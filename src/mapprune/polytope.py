@@ -25,11 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import FactorGroup, GraphicalModel, Labeling
-
-# Feasibility tolerance for residual checks.
-FEASIBILITY_TOL = 1e-7
-# Entries below this snap to zero when classifying integrality.
-SNAP_TOL = 1e-8
+from .tolerance import FEASIBILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -165,10 +161,10 @@ def constraint_residuals(model: GraphicalModel, mu: Marginals) -> tuple[float, f
     return norm_res, marg_res, float(z.min()) if z.size else 0.0
 
 
-def is_feasible(model: GraphicalModel, mu: Marginals, tol: float = FEASIBILITY_TOL) -> bool:
-    """Membership test for the local polytope, up to the residual tolerance."""
+def is_feasible(model: GraphicalModel, mu: Marginals) -> bool:
+    """Membership test for the local polytope, up to FEASIBILITY_TOL."""
     norm, marg, lo = constraint_residuals(model, mu)
-    return norm <= tol and marg <= tol and lo >= -tol
+    return norm <= FEASIBILITY_TOL and marg <= FEASIBILITY_TOL and lo >= -FEASIBILITY_TOL
 
 
 @dataclass(frozen=True)

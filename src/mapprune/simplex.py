@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-
-RC_TOL = 1e-9     # reduced-cost threshold for entering columns
-PIVOT_TOL = 1e-9  # smallest usable pivot element
-PHASE1_TOL = 1e-7  # residual infeasibility accepted after phase 1
-RATIO_TIE_TOL = 1e-12  # two ratios tie for leaving within this times (1 + |min ratio|)
+from .tolerance import PHASE1_TOL, PIVOT_TOL, RATIO_TIE_TOL, RC_TOL, scaled, within
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int, max_pivots: int, start:
             raise SolverError("LP is unbounded (broken constraint system)")
         ratios = T[:m, -1][pos] / col[pos]
         best = ratios.min()
-        ties = pos[ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best))]
+        ties = pos[within(ratios, best, scaled(RATIO_TIE_TOL, best))]
         i = int(ties[np.argmin(basis[ties])])
         _pivot(T, basis, i, j)
         count += 1

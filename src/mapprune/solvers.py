@@ -18,23 +18,21 @@ import numpy as np
 
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
 from .model import GraphicalModel, Reparametrization, _factor_rows, _sum_in_order, energies_close, energy
-from .polytope import SNAP_TOL, Marginals, build_lp
+from .polytope import Marginals, build_lp
 from .simplex import solve_standard_form
+from .tolerance import (
+    CRITERION_TOL,
+    GAP_TOL,
+    INTEGRALITY_TOL,
+    PAIR_MARGINAL_SLACK,
+    SNAP_TOL,
+    TIE_TOL,
+    scaled,
+    within,
+)
 
 # Default cap on exhaustive enumeration (joint labelings).
 ENUMERATION_CAP = 2_000_000
-# Marginal entries within this of 0/1 count as integral.
-INTEGRALITY_TOL = 1e-6
-# Absolute energy tolerance for collecting tied optima.
-TIE_TOL = 1e-9
-# Uniqueness margin for tree agreement: a label must beat the runner-up by this.
-AGREEMENT_MARGIN = 1e-9
-# Relative slack under which a pair min-marginal entry counts as minimal when
-# checking that a committed label sits on each incident edge's minimum.
-PAIR_MARGINAL_SLACK = 1e-7
-# Tolerance for certifying a fully committed TRW-S labeling: its energy must
-# match the best dual bound within this (absolute + relative).
-CERTIFY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -76,11 +74,15 @@ class SolverOutput:
 class StopRule:
     """Stopping configuration for the message-passing solver."""
 
-    gap_tol: float = 1e-5
+    gap_tol: float = GAP_TOL
     stall_passes: int = 20
     max_passes: int = 1500
 
     def __post_init__(self):
+        if not self.gap_tol >= 0.0:  # NaN fails this too
+            raise DomainError(f"gap_tol must be >= 0, got {self.gap_tol}")
+        if self.stall_passes < 1:
+            raise DomainError(f"stall_passes must be >= 1, got {self.stall_passes}")
         if self.max_passes < 1:
             raise DomainError(f"max_passes must be >= 1, got {self.max_passes}")
 
@@ -111,7 +113,7 @@ def _energy_table(model: GraphicalModel, cap: int) -> np.ndarray:
 
 def _tied(e: np.ndarray) -> np.ndarray:
     """Which entries of a joint energy array are within TIE_TOL of its minimum."""
-    return e <= e.min() + TIE_TOL
+    return within(e, e.min(), TIE_TOL)
 
 
 def solve_bruteforce(
@@ -402,7 +404,7 @@ class _TrwsRun:
         """Committed labels under the strong-agreement rule.
 
         A node commits when its averaged min-marginal has a unique argmin
-        (margin AGREEMENT_MARGIN) and every incident edge's chain subproblem
+        (margin TIE_TOL) and every incident edge's chain subproblem
         attains its minimum at the committed pair (or, against a fractional
         neighbor, somewhere in the committed label's slice).  The chain
         subproblem owning edge {u,v} has the pair min-marginal
@@ -415,7 +417,7 @@ class _TrwsRun:
         first = unaries.argmin(axis=1)
         rest = unaries.copy()
         rest[nodes, first] = np.inf
-        ok = rest.min(axis=1) - unaries[nodes, first] > AGREEMENT_MARGIN
+        ok = rest.min(axis=1) - unaries[nodes, first] > TIE_TOL
         cand = np.where(ok, first, -1)
 
         eu, ev = self.eu, self.ev
@@ -423,7 +425,7 @@ class _TrwsRun:
         t_v = unaries[ev] / self.weight[ev] - self.fwd
         m = t_u[:, :, None] + self.tables + t_v[:, None, :]
         lo = m.min(axis=(1, 2))
-        high = lo + PAIR_MARGINAL_SLACK * (1.0 + np.abs(lo))
+        high = lo + scaled(PAIR_MARGINAL_SLACK, lo)
         cu, cv = cand[eu], cand[ev]
         e = np.arange(len(eu))
         iu, iv = np.maximum(cu, 0), np.maximum(cv, 0)
@@ -473,7 +475,7 @@ def solve_trws(
             reason = "agreement"
             break
         gap = best_energy - best_bound
-        if gap <= stop.gap_tol * (1.0 + abs(best_energy)):
+        if gap <= scaled(stop.gap_tol, best_energy):
             reason = "gap"
             break
         if committed <= best_committed:
@@ -488,7 +490,7 @@ def solve_trws(
     if all(l is not None for l in labels):
         x = tuple(labels)  # type: ignore[arg-type]
         ex = energy(model, x)
-        if not energies_close(ex, best_bound, CERTIFY_TOL):
+        if not energies_close(ex, best_bound, CRITERION_TOL):
             # Cannot certify optimality: refuse to commit anything.
             labels = tuple([None] * model.num_nodes)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import UaiParseError
 from .model import GraphicalModel, _factor_rows
+from .tolerance import BIG_M_MARGIN
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     out = []
@@ -139,11 +140,12 @@ def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:
     over all factors of their finite spreads (max - min), plus a margin.  A
     labeling that uses it then costs at least the margin more than any
     labeling that uses no forbidden entry, whatever the other factors add.
-    The margin is 1 plus 1e-6 of the summed largest finite magnitudes, which
-    bounds every feasible energy, so it exceeds the relative energy
-    tolerances (at most 1e-7) at that scale.  The costs stay near the scale
-    of the finite ones, where float64 keeps unit-scale differences exact
-    enough for every solver and criterion.
+    The margin is 1 plus BIG_M_MARGIN times the summed largest finite
+    magnitudes, which bound every feasible energy, so it exceeds the
+    relative cost tolerances that ``tolerance.BIG_M_MARGIN`` names at that
+    scale.  The costs stay near the scale of the finite ones, where float64
+    keeps unit-scale differences exact enough for every solver and
+    criterion.
     """
     costs, allowed = [], []
     for i, arr in enumerate(tables):
@@ -156,7 +158,7 @@ def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:
         allowed.append(ok)
     spread = sum(float(c[ok].max() - c[ok].min()) for c, ok in zip(costs, allowed))
     scale = sum(float(np.abs(c[ok]).max()) for c, ok in zip(costs, allowed))
-    margin = 1.0 + 1e-6 * scale
+    margin = 1.0 + BIG_M_MARGIN * scale
     return [
         np.where(ok, c, float(c[ok].max()) + spread + margin) for c, ok in zip(costs, allowed)
     ]

@@ -356,6 +356,23 @@ class TestCli:
         assert captured.out == ""
         assert "max_passes" in captured.err
 
+    @pytest.mark.parametrize("command", ["solve", "prune"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--gap", "nan", "gap_tol"),
+        ("--gap", "-1", "gap_tol"),
+        ("--stall", "0", "stall_passes"),
+        ("--stall", "-3", "stall_passes"),
+    ])
+    def test_bad_stop_rule_is_usage_error(self, tmp_path, capsys, command, flag, value, field):
+        """A NaN or negative gap and a stall count below 1 would turn a stop
+        off or act as 1; they are usage errors instead."""
+        model_path = tmp_path / "m.uai"
+        self.write_pendant(model_path)
+        assert main([command, str(model_path), "--solver", "trws", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+
     def test_trws_stop_defaults_are_stop_rule(self):
         """--gap, --stall and --max-iters default to StopRule()'s fields."""
         for command in ("solve", "prune"):
