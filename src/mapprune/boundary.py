@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, UnsupportedArityError
-from .model import FactorGroup, GraphicalModel, Labeling, PartialLabeling, _subset_mask
+from .model import FactorGroup, GraphicalModel, Labeling, PartialLabeling, _label_array, _subset_mask
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,11 @@ def boundary_potential(
         raise DomainError(
             f"factor {factor_index} over {tuple(scope.tolist())} does not straddle the subset"
         )
-    if not y.covers(ins_scope):
-        raise DomainError(f"test labeling does not cover boundary nodes {ins_scope}")
+    y_full = _label_array(model, y, inside & np.isin(np.arange(model.num_nodes), scope))
     if mode == "optimal" and g.arity != 2:
         raise UnsupportedArityError(
             "optimal-mode boundary potentials are defined for pairwise factors only"
         )
-    y_full = np.zeros(model.num_nodes, dtype=np.int64)
-    y_full[list(ins_scope)] = [y.label_of(v) for v in ins_scope]
     code = int(inside[scope] @ (1 << np.arange(g.arity)))
     _, k_ins, flat, y_flat = _inside_first(g, rows, code, y_full)
     return ins_scope, _boundary_rule(flat, y_flat, mode).reshape(k_ins)
@@ -168,12 +165,7 @@ def build_augmented_model(
     inside = _subset_mask(model, nodes)
     local = np.cumsum(inside) - 1
     counts, on_boundary = _straddling(model, inside)
-    boundary = tuple(np.flatnonzero(on_boundary).tolist())
-    if not y.covers(boundary):
-        raise DomainError("test labeling must cover the boundary nodes")
-    y.validate(model)
-    y_full = np.zeros(model.num_nodes, dtype=np.int64)
-    y_full[list(y.domain)] = y.labels
+    y_full = _label_array(model, y, on_boundary)
 
     blocks = []
     cut_tables: dict[tuple[int, int], list] = {}  # (inside, outside) tuples -> parts
@@ -218,7 +210,7 @@ def build_augmented_model(
     return AugmentedModel(
         model=GraphicalModel.from_arrays([model.label_counts[v] for v in node_list], blocks),
         nodes=tuple(node_list),
-        test_labeling=y.restrict(boundary),
+        test_labeling=y.restrict(np.flatnonzero(on_boundary).tolist()),
         mode=mode,
     )
 

@@ -381,23 +381,10 @@ class PartialLabeling:
         except ValueError:
             raise DomainError(f"node {v} not in domain {self.domain}") from None
 
-    def covers(self, nodes: Iterable[int]) -> bool:
-        dom = set(self.domain)
-        return all(v in dom for v in nodes)
-
     def restrict(self, nodes: Iterable[int]) -> "PartialLabeling":
         keep = set(nodes)
         pairs = [(v, l) for v, l in zip(self.domain, self.labels) if v in keep]
         return PartialLabeling(tuple(v for v, _ in pairs), tuple(l for _, l in pairs))
-
-    def validate(self, model: GraphicalModel) -> None:
-        for v, l in zip(self.domain, self.labels):
-            if not 0 <= v < model.num_nodes:
-                raise DomainError(f"node {v} outside model range")
-            if not 0 <= l < model.label_counts[v]:
-                raise InvalidLabelingError(
-                    f"label {l} out of range for node {v} ({model.label_counts[v]} labels)"
-                )
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -456,6 +443,30 @@ def _subset_mask(model: GraphicalModel, nodes: Iterable[int]) -> np.ndarray:
     return inside
 
 
+def _label_array(model: GraphicalModel, x: PartialLabeling, required: np.ndarray) -> np.ndarray:
+    """x as one int64 label array over all nodes, -1 off its domain.
+
+    A domain node outside the model, or a node of the ``required`` mask
+    that x does not label, raises DomainError; a label outside its node's
+    range raises InvalidLabelingError.
+    """
+    domain = np.array(x.domain, dtype=np.int64)
+    labels = np.array(x.labels, dtype=np.int64)
+    if domain.size and (domain[0] < 0 or domain[-1] >= model.num_nodes):
+        raise DomainError("partial labeling contains invalid node ids")
+    counts = np.array(model.label_counts, dtype=np.int64)[domain]
+    bad = np.flatnonzero((labels < 0) | (labels >= counts))
+    if bad.size:
+        v, l, k = domain[bad[0]], labels[bad[0]], counts[bad[0]]
+        raise InvalidLabelingError(f"label {l} out of range for node {v} ({k} labels)")
+    full = np.full(model.num_nodes, -1, dtype=np.int64)
+    full[domain] = labels
+    missing = np.flatnonzero(required & (full < 0))
+    if missing.size:
+        raise DomainError(f"partial labeling does not cover nodes {tuple(missing.tolist())}")
+    return full
+
+
 def _sum_in_order(model: GraphicalModel, labels: np.ndarray, inside: np.ndarray | None = None) -> float:
     """The factors' values at ``labels``, one gather per group, summed by
     ``np.cumsum`` one by one from 0.0 in (arity, scope) order (``np.sum``
@@ -479,12 +490,7 @@ def restricted_energy(model: GraphicalModel, nodes: Iterable[int], x: PartialLab
     ``x`` must assign a label to every node of ``nodes`` (it may cover more).
     """
     inside = _subset_mask(model, nodes)
-    if not x.covers(np.flatnonzero(inside).tolist()):
-        raise DomainError("partial labeling does not cover the requested subset")
-    x.validate(model)
-    labels = np.zeros(model.num_nodes, dtype=np.int64)
-    labels[list(x.domain)] = x.labels
-    return _sum_in_order(model, labels, inside)
+    return _sum_in_order(model, _label_array(model, x, inside), inside)
 
 
 def concatenate(model: GraphicalModel, x0: PartialLabeling, xt: PartialLabeling) -> tuple[int, ...]:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLabelingError
-from .model import GraphicalModel, Labeling, PartialLabeling, _subset_mask
+from .model import GraphicalModel, Labeling, PartialLabeling, _label_array, _subset_mask
 # solve_bruteforce is not called here, but stays importable from this
 # module: perfbench/tracing.py wraps it under this module's name.
 from .solvers import ENUMERATION_CAP, _energy_table, _tied, solve_bruteforce  # noqa: F401
@@ -32,23 +31,12 @@ class OracleReport:
         assert (self.counterexample is not None) == (not self.verdict)
 
 
-def _clamped(model: GraphicalModel, labels: dict[int, int]) -> tuple[slice, ...]:
-    """Index of the slice of a joint array with each node of ``labels`` at
-    its label; the slice keeps every axis, so it broadcasts back."""
-    index = [slice(None)] * model.num_nodes
-    for v, l in labels.items():
-        index[v] = slice(l, l + 1)
-    return tuple(index)
-
-
-def _claimed(model: GraphicalModel, nodes, x: PartialLabeling) -> tuple[slice, ...]:
-    """The slice where x holds on the claimed subset, once the claim is valid."""
-    subset = sorted(set(int(v) for v in nodes))
-    if not x.covers(subset):
-        raise InvalidLabelingError("labeling does not cover the claimed subset")
-    x.validate(model)
-    labels = x.as_mapping()
-    return _clamped(model, {v: labels[v] for v in subset})
+def _clamped(inside: np.ndarray, labels: np.ndarray) -> tuple[slice, ...]:
+    """Index of the slice of a joint array with each node of the ``inside``
+    mask at its entry of ``labels``; the slice keeps every axis, so it
+    broadcasts back."""
+    clamps = zip(inside.tolist(), labels.tolist())
+    return tuple(slice(l, l + 1) if clamp else slice(None) for clamp, l in clamps)
 
 
 def _outside(shape: tuple[int, ...], index: tuple[slice, ...]) -> np.ndarray:
@@ -67,7 +55,8 @@ def verify_persistent(
     model: GraphicalModel, nodes, x: PartialLabeling, cap: int = ENUMERATION_CAP
 ) -> OracleReport:
     """Does some global optimum agree with x on the subset?"""
-    claimed = _claimed(model, nodes, x)
+    inside = _subset_mask(model, nodes)
+    claimed = _clamped(inside, _label_array(model, x, inside))
     tied = _tied(_energy_table(model, cap))
     holds = bool(tied[claimed].any())
     witness = None if holds else _labeling(tied.shape, np.argmax(tied))
@@ -78,7 +67,8 @@ def verify_strongly_persistent(
     model: GraphicalModel, nodes, x: PartialLabeling, cap: int = ENUMERATION_CAP
 ) -> OracleReport:
     """Does every global optimum agree with x on the subset?"""
-    claimed = _claimed(model, nodes, x)
+    inside = _subset_mask(model, nodes)
+    claimed = _clamped(inside, _label_array(model, x, inside))
     tied = _tied(_energy_table(model, cap))
     failing = tied & _outside(tied.shape, claimed)
     witness = _labeling(tied.shape, np.argmax(failing)) if failing.any() else None
@@ -95,11 +85,11 @@ def verify_improving(
     points); it improves strictly when every non-fixed labeling loses
     strictly.  Returns (improving report, strictly-improving report).
     """
-    subset = np.flatnonzero(_subset_mask(model, nodes)).tolist()
-    ys = model.validate_labeling(y)
+    inside = _subset_mask(model, nodes)
+    ys = np.array(model.validate_labeling(y), dtype=np.int64)
 
     e = _energy_table(model, cap)
-    fixed = _clamped(model, {v: ys[v] for v in subset})
+    fixed = _clamped(inside, ys)
     gain = e - e[fixed]
     i = np.argmin(gain)
     improving = bool(within(-gain.flat[i], 0.0, TIE_TOL))

@@ -23,11 +23,13 @@ from .model import (
     Labeling,
     PartialLabeling,
     Reparametrization,
+    _label_array,
+    _subset_mask,
     apply_reparametrization,
     energy,
     optimal_reparametrization,
 )
-from .polytope import Marginals, build_lp
+from .polytope import build_lp
 from .simplex import solve_standard_form
 from .solvers import (
     ENUMERATION_CAP,
@@ -126,7 +128,6 @@ class CriterionVerdict:
     optimum: float
     reference: float
     witness_labeling: PartialLabeling | None = None
-    witness_marginals: Marginals | None = None
     certificate: str = ""
     strict: bool | None = None
 
@@ -270,24 +271,20 @@ def check_criterion(
     else x0 on the subset.
     """
     solver = _canon_solver(solver)
-    node_list = tuple(sorted(set(int(v) for v in nodes)))
-    if not node_list:
+    inside = _subset_mask(model, nodes)
+    labels = _label_array(model, x0, inside)
+    if not inside.any():
         return CriterionVerdict(holds=True, optimum=0.0, reference=0.0, certificate="vacuous")
-    if not x0.covers(node_list):
-        raise DomainError("x0 must cover the candidate subset")
 
-    aug = build_augmented_model(model, node_list, x0, mode=mode)
-    test = x0.restrict(node_list)
+    aug = build_augmented_model(model, np.flatnonzero(inside), x0, mode=mode)
+    test = PartialLabeling(aug.nodes, tuple(labels[inside].tolist()))
     reference = energy(aug.model, test.labels)
-    if solver == "exact-lp":
-        mu, _, out = solve_lp_exact(aug.model)
-    else:
-        mu, out = None, _solve(aug.model, solver, None, cap)
+    out = _solve(aug.model, solver, None, cap)
     holds = _not_above(reference, out.objective_bound)
     return CriterionVerdict(
         holds=holds, optimum=out.objective_bound, reference=reference,
         witness_labeling=aug.to_original_partial(out.labels) if solver == "trws" or not holds else test,
-        witness_marginals=mu, certificate=out.certificate,
+        certificate=out.certificate,
     )
 
 
@@ -342,28 +339,24 @@ def improving_mapping_check(model: GraphicalModel, nodes, y: Labeling) -> Criter
     """Is the all-to-one relabeling (send every node of A to y) LP-improving?
 
     Builds the shifted test energy whose value at y is 0 and solves its LP
-    over all nodes: the mapping improves iff the minimum is 0 (down to
-    -CRITERION_TOL), and strictly so iff every optimal marginal vector keeps
-    all of A at y.
+    over all nodes: the mapping improves iff the minimum is not below 0, by
+    ``_not_above`` like every criterion verdict, and strictly so iff every
+    optimal marginal vector keeps all of A at y.
     """
-    node_list = tuple(sorted(set(int(v) for v in nodes)))
+    inside = _subset_mask(model, nodes)
     ys = model.validate_labeling(y)
-    if not node_list:
+    if not inside.any():
         return CriterionVerdict(
             holds=True, optimum=0.0, reference=0.0, certificate="vacuous", strict=True
         )
+    node_list = np.flatnonzero(inside).tolist()
     gamma = build_gamma_model(model, node_list, ys)
     lp = build_lp(gamma.model)
     res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
-    holds = within(-res.value, 0.0, CRITERION_TOL)
+    holds = _not_above(0.0, res.value)
     strict = None
     if holds:
         strict = _pinned_on_optimal_face(lp, res.value, [(v, ys[v]) for v in node_list])
     return CriterionVerdict(
-        holds=holds,
-        optimum=res.value,
-        reference=0.0,
-        witness_marginals=lp.unflatten(res.x),
-        certificate="exact-lp",
-        strict=strict,
+        holds=holds, optimum=res.value, reference=0.0, certificate="exact-lp", strict=strict
     )

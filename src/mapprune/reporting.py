@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .model import GraphicalModel, PartialLabeling
+from .model import GraphicalModel, PartialLabeling, _subset_mask
 from .persistency import PersistencyResult
 
 
@@ -17,14 +17,14 @@ def persistency_percentage(model: GraphicalModel, nodes) -> float:
     contribute nothing to either sum (they carry no decision), and a model
     of only such nodes counts as fully determined.  The log base cancels.
     """
-    inside = set(int(v) for v in nodes)
+    inside = _subset_mask(model, nodes)
     total = sum(math.log(k) for k in model.label_counts if k >= 2)
     if total == 0.0:
         return 1.0
     outside = sum(
         math.log(k)
         for v, k in enumerate(model.label_counts)
-        if k >= 2 and v not in inside
+        if k >= 2 and not inside[v]
     )
     return 1.0 - outside / total
 

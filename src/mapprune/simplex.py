@@ -63,17 +63,12 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int, max_pivots: int, start:
             raise SolverError(f"simplex exceeded the pivot budget ({max_pivots})")
 
 
-def solve_standard_form(
-    c: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    *,
-    max_pivots: int | None = None,
-) -> SimplexResult:
+def solve_standard_form(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> SimplexResult:
     """Minimize c.z over {A z = b, z >= 0}; returns an optimal basic solution.
 
-    Raises SolverError if the pivot budget is exhausted or the system is
-    infeasible (which cannot happen for well-formed marginal polytopes).
+    Raises SolverError if the pivot budget, 20000 + 50 (m + n) pivots for an
+    m x n system, is exhausted or the system is infeasible (which cannot
+    happen for well-formed marginal polytopes).
     """
     A = np.asarray(a_eq, dtype=np.float64)
     b = np.array(b_eq, dtype=np.float64)
@@ -81,8 +76,7 @@ def solve_standard_form(
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise SolverError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}, c {c.shape}")
-    if max_pivots is None:
-        max_pivots = 20000 + 50 * (m + n)
+    max_pivots = 20000 + 50 * (m + n)
 
     # Phase 1: artificial identity basis, minimize the artificial sum.  The
     # artificials never re-enter and no rule or result reads their columns,

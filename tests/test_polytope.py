@@ -10,8 +10,10 @@ from mapprune import (
     constraint_residuals,
     delta,
     energy,
+    is_feasible,
     linear_energy,
 )
+from mapprune.tolerance import FEASIBILITY_TOL
 from conftest import random_pairwise, random_with_ternary
 
 
@@ -103,6 +105,27 @@ class TestConstraintResiduals:
         broken = Marginals(mu.node, {2: np.array([[0.0, 1.0], [0.0, 0.0]])})
         norm, marg, lo = constraint_residuals(m, broken)
         assert marg == 1.0
+
+
+class TestIsFeasible:
+    def test_indicators_are_feasible(self):
+        m = chain_model()
+        for x in itertools.product(range(2), repeat=2):
+            assert is_feasible(m, delta(m, x))
+
+    def test_node_entry_moved_past_the_tolerance(self):
+        m = chain_model()
+        mu = delta(m, (0, 1))
+        for step, feasible in ((0.5 * FEASIBILITY_TOL, True), (2 * FEASIBILITY_TOL, False)):
+            node = (mu.node[0] + np.array([step, 0.0]),) + mu.node[1:]
+            assert is_feasible(m, Marginals(node, mu.factor)) == feasible, step
+
+    def test_negative_entry_past_the_tolerance(self):
+        # Normalized and without factors, so only the lower bound can fail.
+        m = GraphicalModel([2])
+        for entry, feasible in ((-0.5 * FEASIBILITY_TOL, True), (-2 * FEASIBILITY_TOL, False)):
+            mu = Marginals((np.array([1.0 - entry, entry]),), {})
+            assert is_feasible(m, mu) == feasible, entry
 
 
 class TestBuildLP:
