@@ -35,6 +35,18 @@ def energies_close(a: float, b: float, tol: float = ENERGY_TOL) -> bool:
     return abs(a - b) <= scaled(tol, max(abs(a), abs(b)))
 
 
+def _integers(values: Iterable) -> list[int] | None:
+    """The values as ints, or None when one is not an integer: int() alone
+    would truncate 1.5 to 1.  Python and numpy integers pass, and so does a
+    float with an integral value."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    try:
+        ints = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == values else None
+
+
 def _frozen_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if shape is not None:
@@ -309,7 +321,10 @@ class GraphicalModel:
         return math.prod(self.label_counts) if self.num_nodes else 1
 
     def validate_labeling(self, x: Labeling) -> tuple[int, ...]:
-        xs = tuple(int(l) for l in x)
+        xs = _integers(x)
+        if xs is None:
+            raise InvalidLabelingError("labeling contains non-integer labels")
+        xs = tuple(xs)
         if len(xs) != self.num_nodes:
             raise InvalidLabelingError(
                 f"labeling has {len(xs)} entries for {self.num_nodes} nodes"
@@ -350,8 +365,12 @@ class PartialLabeling:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        dom = tuple(int(v) for v in self.domain)
-        labs = tuple(int(l) for l in self.labels)
+        dom, labs = _integers(self.domain), _integers(self.labels)
+        if dom is None:
+            raise DomainError("partial labeling contains invalid node ids")
+        if labs is None:
+            raise InvalidLabelingError("partial labeling contains non-integer labels")
+        dom, labs = tuple(dom), tuple(labs)
         if len(dom) != len(labs):
             raise DomainError("domain and labels have different lengths")
         if len(set(dom)) != len(dom):
@@ -434,12 +453,13 @@ class Reparametrization:
 
 
 def _subset_mask(model: GraphicalModel, nodes: Iterable[int]) -> np.ndarray:
-    """The boolean node mask of a subset; ids outside the model raise."""
-    node_list = sorted(set(int(v) for v in nodes))
-    if node_list and (node_list[0] < 0 or node_list[-1] >= model.num_nodes):
+    """The boolean node mask of a subset; ids that are not integers or lie
+    outside the model raise."""
+    ids = _integers(nodes)
+    if ids is None or ids and (min(ids) < 0 or max(ids) >= model.num_nodes):
         raise DomainError("subset contains invalid node ids")
     inside = np.zeros(model.num_nodes, dtype=bool)
-    inside[node_list] = True
+    inside[ids] = True
     return inside
 
 

@@ -116,7 +116,8 @@ class PersistencyResult:
 
     @property
     def loop_iterations(self) -> int:
-        """Number of augmented subproblem solves (the init solve excluded)."""
+        """Number of loop iterations, one per augmented subproblem (the init
+        solve excluded); an iteration may reuse the previous solve's output."""
         return len(self.trace) - 1
 
 
@@ -160,6 +161,12 @@ def prune(
     augmented model is A's i-th node, so the solver's output and the
     boundary, fractional, disagreeing and surviving masks are all in A's
     order, and the survivors, in order, are the next A.
+
+    A loop solve without a warm start whose augmented model equals the
+    model last solved (as when the initial solve commits every node, in
+    original mode) is not run again: that solve's output is reused, since
+    every solver is deterministic from a cold start.  Its record repeats
+    the reused solve's ``solver_iterations``.
     """
     solver = _canon_solver(solver)
     if mode not in ("original", "optimal"):
@@ -170,6 +177,7 @@ def prune(
         raise UnsupportedArityError("the trws solver needs a pairwise model")
 
     out = _solve(model, solver, stop, cap)
+    solved = model  # the model that ``out`` answers
     # The test labeling over all nodes (-1: not committed); A is its support.
     labels = np.array([-1 if l is None else l for l in out.labels], dtype=np.int64)
     domain = np.flatnonzero(labels >= 0)
@@ -206,7 +214,11 @@ def prune(
         aug = build_augmented_model(
             work, domain, PartialLabeling(tuple(domain.tolist()), tuple(test.tolist())), mode="original"
         )
-        out = _solve(aug.model, solver, stop, cap, start)
+        # A cold solve is a function of its model alone, so one of the model
+        # just solved would return ``out`` again.
+        if start is not None or aug.model != solved:
+            out = _solve(aug.model, solver, stop, cap, start)
+            solved = aug.model
         if subproblem_hook is not None:
             subproblem_hook(aug, out)
 

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .model import GraphicalModel, PartialLabeling, _subset_mask
+from .model import GraphicalModel, PartialLabeling, _integers, _subset_mask
 from .persistency import PersistencyResult
 
 
@@ -30,6 +30,14 @@ def persistency_percentage(model: GraphicalModel, nodes) -> float:
 
 
 REPORT_FORMAT = "mapprune-report-v1"
+
+
+def _integer(value) -> int:
+    """A node id or label read from a report, which int() would truncate."""
+    ints = _integers((value,))
+    if ints is None:
+        raise ValueError(f"malformed {REPORT_FORMAT} document: {value!r} is not an integer")
+    return ints[0]
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,9 @@ class RunReport:
                 instance=payload["instance"],
                 solver=payload["solver"],
                 mode=payload["mode"],
-                a_star=tuple(int(v) for v in payload["a_star"]),
-                x_star={int(v): int(l) for v, l in payload["x_star"].items()},
+                a_star=tuple(_integer(v) for v in payload["a_star"]),
+                # Node ids are the keys, as decimal strings.
+                x_star={int(v): _integer(l) for v, l in payload["x_star"].items()},
                 percentage=float(payload["percentage"]),
                 trace=payload["trace"],
                 wall_time_s=float(payload["wall_time_s"]),

@@ -272,6 +272,27 @@ class TestCli:
         assert code == 3
         assert "persistent: false" in out
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("a_star", [3.5], "3.5"),
+        ("x_star", {"3": 0.7}, "0.7"),
+        ("a_star", ["3"], "'3'"),
+    ])
+    def test_verify_refuses_non_integer_claims(self, tmp_path, capsys, field, value, shown):
+        """int() would read [3.5] as [3] and label 0.7 as 0, and so verify
+        the report's true claim instead of the one it holds."""
+        model_path = tmp_path / "m.uai"
+        report_path = tmp_path / "report.json"
+        self.write_pendant(model_path)
+        main(["prune", str(model_path), "--out", str(report_path)])
+        payload = json.loads(report_path.read_text())
+        assert (payload["a_star"], payload["x_star"]) == ([3], {"3": 0})
+        payload[field] = value
+        report_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", str(report_path), str(model_path)]) == 1
+        expected = f"error: malformed mapprune-report-v1 document: {shown} is not an integer"
+        assert capsys.readouterr().err.strip() == expected
+
     @pytest.mark.parametrize("document, message", [
         ('{"format": "mapprune-report-v1"}', "error: mapprune-report-v1 document has no field 'instance'"),
         ("[1]", "error: not a mapprune-report-v1 document"),

@@ -14,6 +14,7 @@ from mapprune import (
     strong_persistency_scan,
     verify_persistent,
 )
+from mapprune import persistency, solvers
 from conftest import random_pairwise, random_with_ternary
 
 
@@ -124,6 +125,65 @@ class TestPrune:
             prune(m, solver="trws")
         with pytest.raises(Exception):
             prune(m, mode="optimal")
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so that each call is appended to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def potts_grid(side: int, seed: int):
+    """A 3-label Potts grid of the benchmark's grid-lp family (8x8 there)."""
+    return generate(InstanceSpec(
+        kind="potts-grid", height=side, width=side, labels=3,
+        coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=seed,
+    ))
+
+
+class TestReusedSolve:
+    """A cold loop solve of the model just solved reuses that solve's output."""
+
+    def test_exact_lp_solves_a_fully_committed_grid_once(self, monkeypatch):
+        m = potts_grid(8, 0)
+        hooked = []
+        simplex = _counted(monkeypatch, solvers, "solve_standard_form")
+        res = prune(m, solver="exact-lp", subproblem_hook=lambda aug, out: hooked.append((aug, out)))
+        monkeypatch.undo()
+        assert res.trace[0].fractional_pruned == 0  # the initial solve commits every node
+        assert len(simplex) == 1
+        assert len(res.trace) == 2
+        assert res.trace[0].solver_iterations == res.trace[1].solver_iterations
+        assert len(hooked) == 1
+        aug, out = hooked[0]
+        assert aug.model == m
+        assert out == solvers.solve_lp_exact(m)[2]  # what a second solve returns
+
+    def test_bruteforce_reads_one_energy_table(self, monkeypatch):
+        tables = _counted(monkeypatch, solvers, "_energy_table")
+        res = prune(pendant_model(), solver="bruteforce")
+        assert len(tables) == 1
+        assert len(res.trace) == 2 and res.a_star == (0, 1, 2, 3)
+
+    def test_optimal_mode_solves_the_reparametrized_model(self, monkeypatch):
+        simplex = _counted(monkeypatch, solvers, "solve_standard_form")
+        res = prune(potts_grid(8, 0), solver="exact-lp", mode="optimal")
+        assert res.trace[0].fractional_pruned == 0
+        assert len(simplex) == len(res.trace) == 2
+
+    def test_warm_started_trws_solves_again(self, monkeypatch):
+        m = potts_grid(6, 0)
+        trws = _counted(monkeypatch, persistency, "solve_trws")
+        res = prune(m, solver="trws")
+        assert res.trace[0].fractional_pruned == 0
+        assert len(trws) == len(res.trace) == 2
 
 
 class TestCheckCriterion:

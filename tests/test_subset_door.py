@@ -3,13 +3,14 @@
 Every exported function with a ``nodes`` parameter checks the subset with
 ``model._subset_mask`` and, where it takes a ``PartialLabeling``, converts it
 with ``model._label_array``.  So each one rejects the same bad inputs with
-the same exception class and message: a node id outside the model, a
-partial labeling that leaves out a node the function needs, and a label out
-of range.
+the same exception class and message: a node id that is not an integer or
+lies outside the model, a partial labeling that leaves out a node the
+function needs, and a label that is not an integer or is out of range.
 """
 
 import inspect
 
+import numpy as np
 import pytest
 
 import mapprune
@@ -54,9 +55,10 @@ def _valid(kind):
 
 
 @pytest.mark.parametrize("name", sorted(DOORS))
-@pytest.mark.parametrize("nodes", [[1, -1], [1, 4], [0, 99, -1]])
+@pytest.mark.parametrize("nodes", [[1, -1], [1, 4], [0, 99, -1], [0.9, 1.5], [1, 2.5], ["1", 2]])
 def test_node_outside_the_model(name, nodes):
-    # -1 must not be read as the last node, nor 4 fail with IndexError.
+    # -1 must not be read as the last node, nor 4 fail with IndexError, nor
+    # int() read [0.9, 1.5] as the subset {0, 1} and answer for it.
     kind, call = DOORS[name]
     with pytest.raises(DomainError, match="^subset contains invalid node ids$"):
         call(chain4(), nodes, _valid(kind))
@@ -100,3 +102,35 @@ def test_every_nodes_entry_point_is_in_the_table():
         and "nodes" in inspect.signature(obj).parameters
     }
     assert with_nodes == set(DOORS)
+
+
+@pytest.mark.parametrize("name", LABELED)
+def test_label_not_an_integer(name):
+    kind, call = DOORS[name]
+    with pytest.raises(InvalidLabelingError, match="contains non-integer labels$"):
+        x = (0, 1.5, 0, 1)
+        if kind == "partial":
+            x = PartialLabeling(tuple(range(4)), x)
+        call(chain4(), SUBSET, x)
+
+
+def test_partial_labeling_with_non_integers():
+    with pytest.raises(DomainError, match="^partial labeling contains invalid node ids$"):
+        PartialLabeling((0, 1.7), (1, 0))
+    with pytest.raises(InvalidLabelingError, match="^partial labeling contains non-integer labels$"):
+        PartialLabeling((0, 1), (1.9, 0))
+
+
+@pytest.mark.parametrize("name", sorted(DOORS))
+def test_numpy_and_integral_values_pass(name):
+    """numpy integers and floats with integral values are the integers they hold."""
+    kind, call = DOORS[name]
+    x = _valid(kind)
+    if kind == "partial":
+        as_numpy = PartialLabeling(np.arange(4), np.array(FULL))
+        as_floats = PartialLabeling((0.0, 1.0, 2.0, 3.0), tuple(map(float, FULL)))
+    else:
+        as_numpy, as_floats = np.array(FULL), tuple(map(float, FULL))
+    expected = repr(call(chain4(), SUBSET, x))
+    assert repr(call(chain4(), np.array(SUBSET), as_numpy)) == expected
+    assert repr(call(chain4(), [1.0, 2.0], as_floats)) == expected
