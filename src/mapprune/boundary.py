@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, UnsupportedArityError
-from .model import FactorGroup, GraphicalModel, Labeling, PartialLabeling, _label_array, _subset_mask
+from .model import GraphicalModel, Labeling, PartialLabeling, _label_array, _subset_mask
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,6 @@ def _boundary_rule(flat: np.ndarray, y_flat: np.ndarray, mode: str) -> np.ndarra
     return table
 
 
-def _inside_first(g: FactorGroup, rows: np.ndarray, code: int, y_full: np.ndarray):
-    """Rows of group g whose scope positions inside A are the set bits of
-    ``code``, split for ``_boundary_rule``: returns (inside scopes, inside
-    shape, tables with inside axes first flattened to (rows, inside tuples,
-    outside tuples), each table's test row under the labels ``y_full``)."""
-    ins_pos = [p for p in range(g.arity) if code >> p & 1]
-    out_pos = [p for p in range(g.arity) if not code >> p & 1]
-    arr = g.tables[rows].transpose(0, *(p + 1 for p in ins_pos + out_pos))
-    k_ins = arr.shape[1 : 1 + len(ins_pos)]
-    ins_scopes = g.scopes[rows][:, ins_pos]
-    flat = arr.reshape(len(rows), math.prod(k_ins), -1)
-    return ins_scopes, k_ins, flat, np.ravel_multi_index(tuple(y_full[ins_scopes].T), k_ins)
-
-
 def boundary_potential(
     model: GraphicalModel,
     factor_index: int,
@@ -95,10 +81,12 @@ def boundary_potential(
     restricted to this factor: 0 at the test label and
     min_xv(theta(x_u, xv) - theta(y_u, xv)) elsewhere.
 
+    The table is the one boundary table of the augmented model that
+    ``build_augmented_model`` makes of this factor alone, over the factor's
+    nodes in A; so mode, test labels and arity are checked there.
+
     Returns (inside scope, table over that scope's label space).
     """
-    if mode not in ("original", "optimal"):
-        raise DomainError(f"unknown boundary potential mode {mode!r}")
     inside = _subset_mask(model, nodes)
     for g in model.groups:
         rows = np.flatnonzero(g.positions == factor_index)
@@ -107,19 +95,14 @@ def boundary_potential(
     else:
         raise DomainError(f"no factor {factor_index} in a model of {model.num_factors}")
     scope = g.scopes[rows[0]]
-    ins_scope = tuple(scope[inside[scope]].tolist())
+    ins_scope = scope[inside[scope]]
     if not 0 < len(ins_scope) < g.arity:
         raise DomainError(
             f"factor {factor_index} over {tuple(scope.tolist())} does not straddle the subset"
         )
-    y_full = _label_array(model, y, inside & np.isin(np.arange(model.num_nodes), scope))
-    if mode == "optimal" and g.arity != 2:
-        raise UnsupportedArityError(
-            "optimal-mode boundary potentials are defined for pairwise factors only"
-        )
-    code = int(inside[scope] @ (1 << np.arange(g.arity)))
-    _, k_ins, flat, y_flat = _inside_first(g, rows, code, y_full)
-    return ins_scope, _boundary_rule(flat, y_flat, mode).reshape(k_ins)
+    alone = GraphicalModel.from_arrays(model.label_counts, [(g.scopes[rows], g.tables[rows])])
+    (table,) = build_augmented_model(alone, ins_scope, y, mode).model.groups[0].tables
+    return tuple(ins_scope.tolist()), table.copy()
 
 
 @dataclass(frozen=True)
@@ -156,9 +139,9 @@ def build_augmented_model(
     additively, the inside factor first, then the boundary tables in factor
     order.  Factors entirely outside A are dropped.  Works on the factor
     groups: one slice per group for the inside factors, and one max/min
-    (``_boundary_rule``) for all straddling factors whose tables flatten to
-    the same (inside, outside) shape, so one for a pairwise group with equal
-    label counts.  No ``Factor`` objects are made.
+    (``_boundary_rule``) per group and pattern of inside scope positions for
+    the straddling factors, so at most two for a pairwise group.  No
+    ``Factor`` objects are made.
     """
     if mode not in ("original", "optimal"):
         raise DomainError(f"unknown boundary potential mode {mode!r}")
@@ -168,7 +151,7 @@ def build_augmented_model(
     y_full = _label_array(model, y, on_boundary)
 
     blocks = []
-    cut_tables: dict[tuple[int, int], list] = {}  # (inside, outside) tuples -> parts
+    boundary_blocks: dict[tuple[int, ...], list] = {}  # inside shape -> parts
     for g, count in zip(model.groups, counts):
         keep = count == g.arity
         if keep.any():
@@ -180,25 +163,21 @@ def build_augmented_model(
             raise UnsupportedArityError(
                 "optimal-mode boundary potentials are defined for pairwise factors only"
             )
-        # One part per pattern of inside scope positions.
+        # Per pattern of inside scope positions, the tables with the inside
+        # axes first, flattened to (rows, inside tuples, outside tuples).
         pattern = inside[g.scopes[cut]] @ (1 << np.arange(g.arity))
         for code in sorted(set(pattern.tolist())):
             rows = cut[pattern == code]
-            ins_scopes, k_ins, flat, y_flat = _inside_first(g, rows, code, y_full)
-            cut_tables.setdefault(flat.shape[1:], []).append(
-                (flat, y_flat, local[ins_scopes], k_ins, g.positions[rows])
+            ins_pos = [p for p in range(g.arity) if code >> p & 1]
+            out_pos = [p for p in range(g.arity) if not code >> p & 1]
+            arr = g.tables[rows].transpose(0, *(p + 1 for p in ins_pos + out_pos))
+            k_ins = arr.shape[1 : 1 + len(ins_pos)]
+            ins_scopes = g.scopes[rows][:, ins_pos]
+            y_flat = np.ravel_multi_index(tuple(y_full[ins_scopes].T), k_ins)
+            table = _boundary_rule(arr.reshape(len(rows), math.prod(k_ins), -1), y_flat, mode)
+            boundary_blocks.setdefault(k_ins, []).append(
+                (local[ins_scopes], table.reshape(len(rows), *k_ins), g.positions[rows])
             )
-
-    boundary_blocks: dict[tuple[int, ...], list] = {}
-    for parts in cut_tables.values():
-        tables = _boundary_rule(
-            np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), mode
-        )
-        first = 0
-        for _, y_flat, scopes, k_ins, positions in parts:
-            table = tables[first : first + len(y_flat)].reshape(len(y_flat), *k_ins)
-            boundary_blocks.setdefault(k_ins, []).append((scopes, table, positions))
-            first += len(y_flat)
     for parts in boundary_blocks.values():
         order = np.argsort(np.concatenate([p[2] for p in parts]))
         blocks.append((

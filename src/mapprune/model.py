@@ -35,16 +35,24 @@ def energies_close(a: float, b: float, tol: float = ENERGY_TOL) -> bool:
     return abs(a - b) <= scaled(tol, max(abs(a), abs(b)))
 
 
-def _integers(values: Iterable) -> list[int] | None:
-    """The values as ints, or None when one is not an integer: int() alone
-    would truncate 1.5 to 1.  Python and numpy integers pass, and so does a
-    float with an integral value."""
+def _integers(values: Iterable, error: Exception | None = None) -> list[int] | None:
+    """The values as ints.  When one is not an integer, raises ``error``,
+    or returns None without one: int() alone would truncate 1.5 to 1.
+    Python and numpy integers pass, and so does a float with an integral
+    value."""
     values = values.tolist() if isinstance(values, np.ndarray) else list(values)
     try:
-        ints = [int(v) for v in values]
+        ints = list(map(int, values))
     except (TypeError, ValueError, OverflowError):
-        return None
-    return ints if ints == values else None
+        ints = None
+    if ints == values:
+        return ints
+    if error is not None:
+        raise error
+    return None
+
+
+_NOT_IDS = "factor scope contains non-integer node ids"
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
@@ -67,7 +75,10 @@ class Factor:
     table: np.ndarray
 
     def __post_init__(self):
-        scope = tuple(int(v) for v in self.scope)
+        scope = _integers(self.scope)  # an error argument would build an exception per factor
+        if scope is None:
+            raise DomainError(_NOT_IDS)
+        scope = tuple(scope)
         if any(b <= a for a, b in zip(scope, scope[1:])):
             raise DomainError(f"factor scope must be strictly sorted, got {scope}")
         object.__setattr__(self, "scope", scope)
@@ -206,21 +217,20 @@ class GraphicalModel:
         sorting: they are made read-only, so pass arrays nothing else writes
         to."""
         model = cls.__new__(cls)
-        blocks = [
-            (np.asarray(scopes, dtype=np.int64), np.asarray(tables, dtype=np.float64))
-            for scopes, tables in blocks
-        ]
+        blocks = [(np.asarray(scopes), np.asarray(tables, dtype=np.float64)) for scopes, tables in blocks]
         for scopes, tables in blocks:
+            if scopes.dtype.kind not in "iu":  # a cast to int64 would truncate 1.5
+                _integers(scopes.ravel(), DomainError(_NOT_IDS))
             if scopes.ndim != 2 or tables.ndim != scopes.shape[1] + 1 or len(tables) != len(scopes):
                 raise DomainError(
                     f"scopes {scopes.shape} and tables {tables.shape} do not form one factor per row"
                 )
-        model._store(label_counts, blocks)
+        model._store(label_counts, [(s.astype(np.int64, copy=False), t) for s, t in blocks])
         return model
 
     def _store(self, label_counts: Sequence[int], blocks) -> None:
         """Validate, merge and group the (scopes, tables) blocks."""
-        counts = tuple(int(k) for k in label_counts)
+        counts = tuple(_integers(label_counts, DomainError("label counts must be integers")))
         if any(k < 1 for k in counts):
             raise DomainError(f"label counts must be >= 1, got {counts}")
         n = self.num_nodes = len(counts)
@@ -284,7 +294,7 @@ class GraphicalModel:
                 for g in self.groups
                 for s, p in zip(g.scopes.tolist(), g.positions.tolist())
             }
-        return self._index_of_scope.get(tuple(int(v) for v in scope))
+        return self._index_of_scope.get(tuple(_integers(scope, DomainError(_NOT_IDS))))
 
     def unary_table(self, v: int) -> np.ndarray | None:
         for g in self.groups:
@@ -321,10 +331,7 @@ class GraphicalModel:
         return math.prod(self.label_counts) if self.num_nodes else 1
 
     def validate_labeling(self, x: Labeling) -> tuple[int, ...]:
-        xs = _integers(x)
-        if xs is None:
-            raise InvalidLabelingError("labeling contains non-integer labels")
-        xs = tuple(xs)
+        xs = tuple(_integers(x, InvalidLabelingError("labeling contains non-integer labels")))
         if len(xs) != self.num_nodes:
             raise InvalidLabelingError(
                 f"labeling has {len(xs)} entries for {self.num_nodes} nodes"
@@ -365,12 +372,9 @@ class PartialLabeling:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        dom, labs = _integers(self.domain), _integers(self.labels)
-        if dom is None:
-            raise DomainError("partial labeling contains invalid node ids")
-        if labs is None:
-            raise InvalidLabelingError("partial labeling contains non-integer labels")
-        dom, labs = tuple(dom), tuple(labs)
+        dom = tuple(_integers(self.domain, DomainError("partial labeling contains invalid node ids")))
+        not_labels = InvalidLabelingError("partial labeling contains non-integer labels")
+        labs = tuple(_integers(self.labels, not_labels))
         if len(dom) != len(labs):
             raise DomainError("domain and labels have different lengths")
         if len(set(dom)) != len(dom):

@@ -34,10 +34,18 @@ REPORT_FORMAT = "mapprune-report-v1"
 
 def _integer(value) -> int:
     """A node id or label read from a report, which int() would truncate."""
-    ints = _integers((value,))
-    if ints is None:
-        raise ValueError(f"malformed {REPORT_FORMAT} document: {value!r} is not an integer")
-    return ints[0]
+    error = ValueError(f"malformed {REPORT_FORMAT} document: {value!r} is not an integer")
+    return _integers((value,), error)[0]
+
+
+def _node_key(key: str) -> int:
+    """A node id read from an ``x_star`` key, which ``to_json`` writes as
+    ``str(v)``; int() would also read "0_3", "+3" and " 3" as node 3."""
+    if not (key.isascii() and key.removeprefix("-").isdigit() and str(int(key)) == key):
+        raise ValueError(f"malformed {REPORT_FORMAT} document: {key!r} is not an integer")
+    if key.startswith("-"):
+        raise ValueError(f"malformed {REPORT_FORMAT} document: {key!r} is not a node id")
+    return int(key)
 
 
 @dataclass(frozen=True)
@@ -110,8 +118,7 @@ class RunReport:
                 solver=payload["solver"],
                 mode=payload["mode"],
                 a_star=tuple(_integer(v) for v in payload["a_star"]),
-                # Node ids are the keys, as decimal strings.
-                x_star={int(v): _integer(l) for v, l in payload["x_star"].items()},
+                x_star={_node_key(v): _integer(l) for v, l in payload["x_star"].items()},
                 percentage=float(payload["percentage"]),
                 trace=payload["trace"],
                 wall_time_s=float(payload["wall_time_s"]),

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
-from .model import GraphicalModel, Reparametrization, _factor_rows, _sum_in_order, energies_close, energy
+from .model import GraphicalModel, Reparametrization, _factor_rows, _integers, _sum_in_order
+from .model import energies_close, energy
 from .polytope import Marginals, build_lp
 from .simplex import solve_standard_form
 from .tolerance import (
@@ -81,10 +82,12 @@ class StopRule:
     def __post_init__(self):
         if not self.gap_tol >= 0.0:  # NaN fails this too
             raise DomainError(f"gap_tol must be >= 0, got {self.gap_tol}")
-        if self.stall_passes < 1:
-            raise DomainError(f"stall_passes must be >= 1, got {self.stall_passes}")
-        if self.max_passes < 1:
-            raise DomainError(f"max_passes must be >= 1, got {self.max_passes}")
+        for name in ("stall_passes", "max_passes"):
+            value = getattr(self, name)
+            (value,) = _integers((value,), DomainError(f"{name} must be an integer, got {value!r}"))
+            if value < 1:
+                raise DomainError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
 
 
 # -- exhaustive enumeration ------------------------------------------------
@@ -153,6 +156,9 @@ def solve_lp_exact(model: GraphicalModel) -> tuple[Marginals, float, SolverOutpu
     Nodes whose marginal is 0/1 within INTEGRALITY_TOL are committed; the
     rest are fractional.  Entries below SNAP_TOL count as 0.
     """
+    if model.num_nodes == 0:  # no LP: the value is the model's constant
+        value = energy(model, ())
+        return Marginals((), {}), value, SolverOutput((), value, "exact-lp", iterations=0)
     lp = build_lp(model)
     res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
     mu = lp.unflatten(res.x)

@@ -122,6 +122,48 @@ class TestBoundaryPotential:
             boundary_potential(m, 0, [0], PartialLabeling((0,), (0,)), mode="optimal")
 
 
+def ternary() -> GraphicalModel:
+    return GraphicalModel([2, 2, 2], [Factor((0, 1, 2), np.zeros((2, 2, 2)))])
+
+
+# name -> (call, exception class, message): one fault per call, each on an
+# otherwise valid input.
+SINGLE_FAULTS = {
+    "potential-unknown-mode": (
+        lambda: boundary_potential(three_chain(), 4, [0, 1], PartialLabeling((1,), (0,)), "bogus"),
+        DomainError, "unknown boundary potential mode 'bogus'",
+    ),
+    "augmented-unknown-mode": (
+        lambda: build_augmented_model(three_chain(), [0, 1], PartialLabeling((1,), (0,)), "bogus"),
+        DomainError, "unknown boundary potential mode 'bogus'",
+    ),
+    "potential-unknown-factor": (
+        lambda: boundary_potential(three_chain(), 9, [0, 1], PartialLabeling((1,), (0,))),
+        DomainError, "no factor 9 in a model of 5",
+    ),
+    "potential-not-straddling": (
+        lambda: boundary_potential(three_chain(), 3, [0, 1], PartialLabeling((1,), (0,))),
+        DomainError, "factor 3 over (0, 1) does not straddle the subset",
+    ),
+    "potential-optimal-ternary": (
+        lambda: boundary_potential(ternary(), 0, [0], PartialLabeling((0,), (0,)), "optimal"),
+        UnsupportedArityError, "optimal-mode boundary potentials are defined for pairwise factors only",
+    ),
+    "augmented-optimal-ternary": (
+        lambda: build_augmented_model(ternary(), [0], PartialLabeling((0,), (0,)), "optimal"),
+        UnsupportedArityError, "optimal-mode boundary potentials are defined for pairwise factors only",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_FAULTS))
+def test_single_fault_errors(name):
+    call, error, message = SINGLE_FAULTS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestBoundaryPotentialInequality:
     def test_boundary_potential_inequality(self, rng):
         # theta(x0_u, x'_v) + that(x'_u) - that(x0_u) <= theta(x'_u, x'_v)

@@ -223,6 +223,13 @@ class TestCli:
             f"{'bound' if solver == 'trws' else 'value'} -10.0", "labeling 0 0",
         ]
 
+    @pytest.mark.parametrize("command", ["solve", "prune"])
+    @pytest.mark.parametrize("solver", ["bruteforce", "lp", "trws"])
+    def test_model_without_nodes(self, tmp_path, command, solver):
+        model_path = tmp_path / "m.uai"
+        model_path.write_text("MARKOV\n0\n\n0\n")
+        assert main([command, str(model_path), "--solver", solver]) == 0
+
     def test_prune_verify_flow(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"
         report_path = tmp_path / "report.json"
@@ -276,10 +283,16 @@ class TestCli:
         ("a_star", [3.5], "3.5"),
         ("x_star", {"3": 0.7}, "0.7"),
         ("a_star", ["3"], "'3'"),
+        ("x_star", {"0_3": 0}, "'0_3'"),
+        ("x_star", {"+3": 0}, "'+3'"),
+        ("x_star", {" 3": 0}, "' 3'"),
+        ("x_star", {"03": 0}, "'03'"),
+        ("x_star", {"\u0663": 0}, "'\u0663'"),
     ])
     def test_verify_refuses_non_integer_claims(self, tmp_path, capsys, field, value, shown):
-        """int() would read [3.5] as [3] and label 0.7 as 0, and so verify
-        the report's true claim instead of the one it holds."""
+        """int() would read [3.5] as [3], label 0.7 as 0 and the node key
+        "0_3" as 3, and so verify the report's true claim instead of the one
+        it holds.  A key must be the decimal form of a node id."""
         model_path = tmp_path / "m.uai"
         report_path = tmp_path / "report.json"
         self.write_pendant(model_path)
@@ -299,6 +312,9 @@ class TestCli:
         ('{"format": "mapprune-report-v1", "instance": "m", "solver": "lp", "mode": "original", '
          '"a_star": [0], "x_star": [1]}',
          "error: malformed mapprune-report-v1 document: 'list' object has no attribute 'items'"),
+        ('{"format": "mapprune-report-v1", "instance": "m", "solver": "lp", "mode": "original", '
+         '"a_star": [3], "x_star": {"-3": 0}}',
+         "error: malformed mapprune-report-v1 document: '-3' is not a node id"),
     ])
     def test_verify_malformed_report_is_usage_error(self, tmp_path, capsys, document, message):
         model_path = tmp_path / "m.uai"

@@ -88,6 +88,7 @@ class TestModelConstruction:
             ([[0]], [[0.0, np.nan]]),
             ([0, 1], np.zeros((2, 2))),  # scopes not one row per factor
             ([[0], [1]], np.zeros((1, 2))),
+            ([[0, 1.5]], np.zeros((1, 2, 3))),  # a cast would read node 1
         ]:
             with pytest.raises(DomainError):
                 GraphicalModel.from_arrays([2, 3], [(scopes, tables)])

@@ -40,6 +40,18 @@ class TestPrune:
         assert res.a_star == ()
         assert res.loop_iterations == 0  # empty initial set short-circuits
 
+    @pytest.mark.parametrize("model", [GraphicalModel([]), GraphicalModel([], [Factor((), 2.5)])])
+    def test_model_without_nodes(self, model):
+        """Every solver, in both modes, prunes nothing from a model without
+        nodes, and its one record holds the model's constant, bit for bit."""
+        energies = set()
+        for solver in ("exact-lp", "trws", "bruteforce"):
+            for mode in ("original", "optimal"):
+                res = prune(model, solver=solver, mode=mode)
+                assert res.a_star == () and len(res.trace) == 1
+                energies.add(res.trace[0].test_energy.hex())
+        assert energies == {(2.5 if model.num_factors else 0.0).hex()}
+
     def test_separable_full(self):
         res = prune(separable_model(), solver="exact-lp")
         assert res.a_star == (0, 1)

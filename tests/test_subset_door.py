@@ -6,6 +6,8 @@ with ``model._label_array``.  So each one rejects the same bad inputs with
 the same exception class and message: a node id that is not an integer or
 lies outside the model, a partial labeling that leaves out a node the
 function needs, and a label that is not an integer or is out of range.
+The model's constructors and the stop rule reject ids and counts that are
+not integers in the same way.
 """
 
 import inspect
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import mapprune
-from mapprune import DomainError, Factor, GraphicalModel, InvalidLabelingError, PartialLabeling
+from mapprune import DomainError, Factor, GraphicalModel, InvalidLabelingError, PartialLabeling, StopRule
 
 
 def chain4() -> GraphicalModel:
@@ -134,3 +136,34 @@ def test_numpy_and_integral_values_pass(name):
     expected = repr(call(chain4(), SUBSET, x))
     assert repr(call(chain4(), np.array(SUBSET), as_numpy)) == expected
     assert repr(call(chain4(), [1.0, 2.0], as_floats)) == expected
+
+
+# Where a model or a stop rule takes ids or counts: int() would read each of
+# these as 1 or 2 and build a different model or rule.
+NON_INTEGERS = {
+    "factor scope": (lambda: Factor((0, 1.5), np.zeros((2, 2))), "factor scope contains non-integer node ids"),
+    "label counts": (lambda: GraphicalModel([2.7, 2]), "label counts must be integers"),
+    "factor_index": (lambda: chain4().factor_index((0, 1.9)), "factor scope contains non-integer node ids"),
+    "max_passes": (lambda: StopRule(max_passes=1.5), "max_passes must be an integer, got 1.5"),
+    "stall_passes": (lambda: StopRule(stall_passes=2.5), "stall_passes must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGERS))
+def test_model_door_rejects_non_integers(name):
+    call, message = NON_INTEGERS[name]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_model_door_takes_numpy_and_integral_values():
+    table = np.zeros((2, 2))
+    assert Factor((np.int64(0), 1.0), table).scope == (0, 1)
+    assert GraphicalModel([2.0, np.int32(2)]).label_counts == (2, 2)
+    m = GraphicalModel.from_arrays([2, 2, 2], [(np.array([[0.0, 1.0]]), table[None])])
+    assert m.groups[0].scopes.dtype == np.int64 and m.groups[0].scopes.tolist() == [[0, 1]]
+    assert chain4().factor_index((np.int64(0), 1.0)) == 4
+    rule = StopRule(stall_passes=2.0, max_passes=np.int64(5))
+    assert (rule.stall_passes, rule.max_passes) == (2, 5)
+    assert type(rule.stall_passes) is int and type(rule.max_passes) is int
