@@ -9,6 +9,7 @@ agrees with some global optimum on the returned set.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,8 +30,8 @@ from .model import (
     energy,
     optimal_reparametrization,
 )
-from .polytope import build_lp
-from .simplex import solve_standard_form
+from .polytope import build_lp, same_rows
+from .simplex import SimplexState, solve_standard_form
 from .solvers import (
     ENUMERATION_CAP,
     SolverOutput,
@@ -65,10 +66,10 @@ def _not_above(reference: float, value: float) -> bool:
 
 def _solve(
     model: GraphicalModel, solver: str, stop: StopRule | None, cap: int,
-    start: Reparametrization | None = None,
+    start: Reparametrization | None = None, state: SimplexState | None = None,
 ) -> SolverOutput:
     if solver == "exact-lp":
-        _, _, out = solve_lp_exact(model)
+        _, _, out = solve_lp_exact(model, state)
         return out
     if solver == "trws":
         return solve_trws(model, stop, start)
@@ -88,6 +89,17 @@ def _surviving_messages(
     inside = keep[model._scopes(2)].all(axis=1)  # the rows of model.edges()
     k = max((c for c, kept in zip(model.label_counts, keep) if kept), default=1)
     return Reparametrization(messages.forward[inside, :k], messages.backward[inside, :k])
+
+
+def _log_solve(t: int, start_kind: str, out: SolverOutput) -> None:
+    """One DEBUG line to the "mapprune" logger.  Until some code imports
+    ``logging`` no logger can emit, and importing it here would add 0.6 MB
+    to every process's peak RSS."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("mapprune").debug(
+            "prune t=%d: %s solve, %d iterations, stop %s", t, start_kind, out.iterations, out.stop
+        )
 
 
 @dataclass(frozen=True)
@@ -167,6 +179,17 @@ def prune(
     original mode) is not run again: that solve's output is reused, since
     every solver is deterministic from a cold start.  Its record repeats
     the reused solve's ``solver_iterations``.
+
+    With solver="exact-lp", a loop solve whose augmented model has the same
+    LP constraint rows as the model last solved (``same_rows``: as in
+    optimal mode's first loop solve when the initial solve commits every
+    node) resumes the simplex from that solve's final tableau: only the
+    objective changed, so phase 1 is skipped and phase 2 starts at the last
+    optimal basis.  Its record's ``solver_iterations`` counts the pivots
+    made from there.  Any other exact-lp loop solve starts cold.
+
+    Each solve logs one DEBUG line to the "mapprune" logger: how it started
+    (cold, warm, resumed or reused), its iteration count and its stop rule.
     """
     solver = _canon_solver(solver)
     if mode not in ("original", "optimal"):
@@ -176,7 +199,10 @@ def prune(
     if solver == "trws" and not model.is_pairwise:
         raise UnsupportedArityError("the trws solver needs a pairwise model")
 
-    out = _solve(model, solver, stop, cap)
+    # The simplex's last tableau, held for a loop solve that can resume it.
+    tableau = SimplexState() if solver == "exact-lp" else None
+    out = _solve(model, solver, stop, cap, state=tableau)
+    _log_solve(0, "cold", out)
     solved = model  # the model that ``out`` answers
     # The test labeling over all nodes (-1: not committed); A is its support.
     labels = np.array([-1 if l is None else l for l in out.labels], dtype=np.int64)
@@ -215,10 +241,22 @@ def prune(
             work, domain, PartialLabeling(tuple(domain.tolist()), tuple(test.tolist())), mode="original"
         )
         # A cold solve is a function of its model alone, so one of the model
-        # just solved would return ``out`` again.
-        if start is not None or aug.model != solved:
-            out = _solve(aug.model, solver, stop, cap, start)
+        # just solved would return ``out`` again.  Over the same LP rows, only
+        # the objective changed, and the simplex resumes from its last tableau.
+        if start is not None:
+            start_kind = "warm"
+        elif aug.model == solved:
+            start_kind = "reused"
+        elif tableau is not None and same_rows(aug.model, solved):
+            start_kind = "resumed"
+        else:
+            start_kind = "cold"
+            if tableau is not None:
+                tableau = SimplexState()  # frees the last tableau before the next is built
+        if start_kind != "reused":
+            out = _solve(aug.model, solver, stop, cap, start, tableau)
             solved = aug.model
+        _log_solve(len(trace), start_kind, out)
         if subproblem_hook is not None:
             subproblem_hook(aug, out)
 

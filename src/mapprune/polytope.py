@@ -103,6 +103,25 @@ def _layout(model: GraphicalModel) -> _Layout:
     )
 
 
+def same_rows(a: GraphicalModel, b: GraphicalModel) -> bool:
+    """Whether ``build_lp`` gives the two models the same constraint rows
+    (``a_eq`` and ``b_eq``), so that their LPs differ at most in ``c``.
+
+    An exact test of all that the rows read: the label counts and, group
+    by group, the scopes, positions and table shapes.
+    """
+    return (
+        a.label_counts == b.label_counts
+        and len(a.groups) == len(b.groups)
+        and all(
+            g.tables.shape == h.tables.shape
+            and np.array_equal(g.scopes, h.scopes)
+            and np.array_equal(g.positions, h.positions)
+            for g, h in zip(a.groups, b.groups)
+        )
+    )
+
+
 def _objective(model: GraphicalModel, layout: _Layout) -> np.ndarray:
     """The LP's cost vector: unary tables on the node blocks, higher tables
     on their own blocks, and the constant on node 0's block, which sums to 1

@@ -5,7 +5,9 @@ array, but each pivot rewrites only the rows whose pivot-column entry is
 nonzero: on local-polytope LPs that is usually a small fraction of the rows.
 Bland's rule (lowest eligible index enters, ratio ties leave by lowest basis
 index) makes the pivot sequence, and therefore the returned vertex,
-deterministic for identical input bytes.
+deterministic for identical input bytes.  A ``SimplexState`` keeps a
+solve's final tableau, so that a later solve over the same A and b with
+another c can skip phase 1 and resume phase 2 from that basis.
 """
 
 from __future__ import annotations
@@ -63,22 +65,24 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int, max_pivots: int, start:
             raise SolverError(f"simplex exceeded the pivot budget ({max_pivots})")
 
 
-def solve_standard_form(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> SimplexResult:
-    """Minimize c.z over {A z = b, z >= 0}; returns an optimal basic solution.
+@dataclass(eq=False)
+class SimplexState:
+    """The final tableau rows and basis of a solve, kept for a later one.
 
-    Raises SolverError if the pivot budget, 20000 + 50 (m + n) pivots for an
-    m x n system, is exhausted or the system is infeasible (which cannot
-    happen for well-formed marginal polytopes).
+    Empty, it asks ``solve_standard_form`` to keep its final state here.
+    Holding a state, it makes the next solve over the same A and b resume
+    from it (see ``solve_standard_form``).
     """
-    A = np.asarray(a_eq, dtype=np.float64)
-    b = np.array(b_eq, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise SolverError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}, c {c.shape}")
-    max_pivots = 20000 + 50 * (m + n)
 
-    # Phase 1: artificial identity basis, minimize the artificial sum.  The
+    tableau: np.ndarray | None = None
+    basis: np.ndarray | None = None
+
+
+def _phase1(A: np.ndarray, b: np.ndarray, max_pivots: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """A feasible basis of {A z = b, z >= 0}: the tableau rows (objective
+    row last, not yet priced), the basis and the pivot count."""
+    m, n = A.shape
+    # Artificial identity basis, minimize the artificial sum.  The
     # artificials never re-enter and no rule or result reads their columns,
     # and a pivot updates each column from itself and the pivot column
     # alone, so the tableau leaves them out; the basis keeps their ids
@@ -110,14 +114,55 @@ def solve_standard_form(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> Si
         else:
             keep[row] = False
     if not keep.all():
-        # Move the kept rows up in place; the objective row is rebuilt below.
+        # Move the kept rows up in place; the objective row is priced later.
         kept = np.flatnonzero(keep)
         for dst, src in enumerate(kept):
             if dst != src:
                 T[dst] = T[src]
         basis = basis[kept]
-        m = kept.size
-        T = T[: m + 1]
+        T = T[: kept.size + 1]
+    return T, basis, pivots
+
+
+def solve_standard_form(
+    c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, state: SimplexState | None = None
+) -> SimplexResult:
+    """Minimize c.z over {A z = b, z >= 0}; returns an optimal basic solution.
+
+    Raises SolverError if the pivot budget, 20000 + 50 (m + n) pivots for an
+    m x n system, is exhausted or the system is infeasible (which cannot
+    happen for well-formed marginal polytopes).
+
+    With an empty ``state``, the solve leaves its final tableau and basis
+    there.  With a ``state`` that holds those of a solve over the same A
+    and b, phase 1 is skipped.  Phase 1 reads only A and b, so the held
+    basis is feasible here too, and only the objective row needs new
+    prices.  Phase 2 prices it for this ``c`` and pivots from the held basis
+    on the held tableau, in place, which then holds this solve's final
+    state; ``iterations`` counts the pivots made from it.  Only shapes are
+    checked: a state of another shape raises SolverError, and one of a
+    system with other entries gives a wrong answer.
+    """
+    A = np.asarray(a_eq, dtype=np.float64)
+    b = np.array(b_eq, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    m, n = A.shape
+    if b.shape != (m,) or c.shape != (n,):
+        raise SolverError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}, c {c.shape}")
+    max_pivots = 20000 + 50 * (m + n)
+
+    if state is not None and state.tableau is not None:
+        T, basis, pivots = state.tableau, state.basis, 0
+        if T.shape[1] != n + 1 or T.shape[0] > m + 1 or basis.shape != (T.shape[0] - 1,):
+            raise SolverError(
+                f"a simplex state with tableau {T.shape} and {basis.size} basic columns "
+                f"does not fit an LP with A {A.shape}"
+            )
+        # Held again once phase 2 ends: a failed solve leaves no state.
+        state.tableau = state.basis = None
+    else:
+        T, basis, pivots = _phase1(A, b, max_pivots)
+    m = T.shape[0] - 1
 
     # Phase 2 on structural columns only.
     T[m, :n] = c
@@ -127,6 +172,8 @@ def solve_standard_form(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray) -> Si
         if c[j] != 0.0:
             T[m] -= c[j] * T[row]
     pivots = _run(T, basis, n, max_pivots, pivots)
+    if state is not None:
+        state.tableau, state.basis = T, basis
 
     x = np.zeros(n)
     x[basis] = T[:m, -1]

@@ -20,7 +20,7 @@ from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
 from .model import GraphicalModel, Reparametrization, _factor_rows, _integers, _sum_in_order
 from .model import energies_close, energy
 from .polytope import Marginals, build_lp
-from .simplex import solve_standard_form
+from .simplex import SimplexState, solve_standard_form
 from .tolerance import (
     CRITERION_TOL,
     GAP_TOL,
@@ -150,17 +150,23 @@ def bruteforce_output(model: GraphicalModel, cap: int = ENUMERATION_CAP) -> Solv
 # -- exact LP over the local polytope ---------------------------------------
 
 
-def solve_lp_exact(model: GraphicalModel) -> tuple[Marginals, float, SolverOutput]:
+def solve_lp_exact(
+    model: GraphicalModel, state: SimplexState | None = None
+) -> tuple[Marginals, float, SolverOutput]:
     """Optimal vertex of the local polytope via the simplex.
 
     Nodes whose marginal is 0/1 within INTEGRALITY_TOL are committed; the
-    rest are fractional.  Entries below SNAP_TOL count as 0.
+    rest are fractional.  Entries below SNAP_TOL count as 0.  ``state`` is
+    handed to ``solve_standard_form``: empty, it keeps the final tableau;
+    holding the one of a model whose LP has the same constraint rows, the
+    solve resumes from it, and ``iterations`` counts the pivots made from
+    that state.
     """
     if model.num_nodes == 0:  # no LP: the value is the model's constant
         value = energy(model, ())
         return Marginals((), {}), value, SolverOutput((), value, "exact-lp", iterations=0)
     lp = build_lp(model)
-    res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq)
+    res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)
     mu = lp.unflatten(res.x)
     # Every node block as one row, padded with -inf, which neither argmax
     # nor the thresholds below ever pick.

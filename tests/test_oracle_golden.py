@@ -119,7 +119,8 @@ def test_strong_persistency_scan_bytes():
 def test_prune_verify_report_bytes(tmp_path):
     """Every solver and mode on a few pairwise models, and the solvers that
     take a ternary factor on one that has it; reports without their
-    instance path and wall time."""
+    instance path and wall time.  A resumed exact-lp loop solve's record
+    counts the pivots made from the resumed basis."""
     models = oracle_models()
     runs = [(m, s) for m in models[:3] + models[12:14] + models[18:19] for s in ("bruteforce", "lp", "trws")]
     runs += [(models[8], s) for s in ("bruteforce", "lp")]
@@ -135,4 +136,4 @@ def test_prune_verify_report_bytes(tmp_path):
             payload = json.loads(report_path.read_text())
             del payload["instance"], payload["wall_time_s"]
             h.update(f"{code}:{json.dumps(payload)}".encode())
-    assert h.hexdigest() == "0bc0254accc4de8efdd9b7301fae6347a6d0273d45249d62269108b8b6a7360a"
+    assert h.hexdigest() == "267a2f2f953378e7f4756359cdd007ab87fee764b9b4f936da734e8afb666e08"

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,15 @@ from mapprune import (
     frustrated_cycle,
     generate,
     improving_mapping_check,
+    parse_uai,
     prune,
     strong_persistency_scan,
     verify_persistent,
 )
 from mapprune import persistency, solvers
 from conftest import random_pairwise, random_with_ternary
+from test_acceptance import hard_constraint_instance
+from test_core_golden import lp_grid
 
 
 def pendant_model() -> GraphicalModel:
@@ -196,6 +201,77 @@ class TestReusedSolve:
         res = prune(m, solver="trws")
         assert res.trace[0].fractional_pruned == 0
         assert len(trws) == len(res.trace) == 2
+
+
+class TestResumedSolve:
+    """An exact-lp loop solve over the constraint rows just solved resumes
+    the simplex from that solve's final tableau."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(707)  # test_lp_fixpoint's hard-constraint models
+        hard = [parse_uai(hard_constraint_instance(rng), values="probability") for _ in range(10)]
+        return [lp_grid(seed) for seed in range(3)] + hard
+
+    def test_resumed_solves_commit_what_cold_solves_commit(self, monkeypatch):
+        real = solvers.solve_standard_form
+        last = []  # the simplex solve made since the last hook call: (resumed, pivots)
+
+        def spy(c, a_eq, b_eq, state=None):
+            resuming = state.tableau is not None
+            res = real(c, a_eq, b_eq, state)
+            last[:] = [(resuming, res.iterations)]
+            return res
+
+        monkeypatch.setattr(solvers, "solve_standard_form", spy)
+        resumed = []  # (model index, augmented model, output, pivots, record)
+        for i, m in enumerate(self._models()):
+            hooked = []  # per loop iteration: (augmented model, output, pivots if resumed)
+
+            def hook(aug, out):
+                hooked.append((aug, out, last[0][1] if last and last[0][0] else None))
+                last.clear()
+
+            res = prune(m, solver="exact-lp", mode="optimal", subproblem_hook=hook)
+            resumed += [(i, aug, out, pivots, record)
+                        for (aug, out, pivots), record in zip(hooked, res.trace[1:]) if pivots is not None]
+        monkeypatch.undo()
+        assert {i for i, *_ in resumed} >= {0, 1, 2}  # every grid resumes
+        assert len(resumed) > 3  # and so do some hard-constraint models
+        for i, aug, out, pivots, record in resumed:
+            assert out.labels == solvers.solve_lp_exact(aug.model)[2].labels
+            assert record.solver_iterations == pivots
+            if i < 3:
+                assert pivots == 0
+
+    def test_other_constraint_rows_start_cold(self, monkeypatch):
+        """After the initial solve, a loop solve on a smaller A has other
+        rows, and starts cold."""
+        m = pendant_model()
+        states = []
+        real = solvers.solve_standard_form
+
+        def spy(c, a_eq, b_eq, state=None):
+            states.append(state.tableau is not None)
+            return real(c, a_eq, b_eq, state)
+
+        monkeypatch.setattr(solvers, "solve_standard_form", spy)
+        res = prune(m, solver="exact-lp", mode="optimal")
+        assert len(res.trace[1].domain) < m.num_nodes
+        assert states[:2] == [False, False]
+
+    def test_each_solve_logs_one_debug_line(self, caplog):
+        m = potts_grid(8, 0)
+        with caplog.at_level(logging.DEBUG, logger="mapprune"):
+            res = prune(m, solver="exact-lp", mode="optimal")
+        lines = [r.getMessage() for r in caplog.records if r.name == "mapprune"]
+        assert len(lines) == len(res.trace) == 2
+        assert lines[0].startswith("prune t=0: cold solve")
+        assert lines[1] == "prune t=1: resumed solve, 0 iterations, stop exact"
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        caplog.clear()
+        prune(m, solver="exact-lp", mode="optimal")
+        assert caplog.records == []
 
 
 class TestCheckCriterion:

@@ -13,6 +13,7 @@ from mapprune import (
     is_feasible,
     linear_energy,
 )
+from mapprune.polytope import same_rows
 from mapprune.tolerance import FEASIBILITY_TOL
 from conftest import random_pairwise, random_with_ternary
 
@@ -159,3 +160,37 @@ class TestBuildLP:
             assert np.array_equal(a, b)
         for i in mu.factor:
             assert np.array_equal(mu.factor[i], back.factor[i])
+
+
+class TestSameRows:
+    @staticmethod
+    def _rows(model):
+        lp = build_lp(model)
+        return lp.a_eq.tobytes(), lp.b_eq.tobytes()
+
+    def test_other_tables_same_rows(self, rng):
+        for _ in range(10):
+            m = random_with_ternary(rng, n_lo=3, n_hi=5)
+            shifted = GraphicalModel.from_arrays(
+                m.label_counts, [(g.scopes, g.tables + rng.normal(size=g.tables.shape)) for g in m.groups]
+            )
+            assert same_rows(m, shifted)
+            assert self._rows(m) == self._rows(shifted)
+
+    def test_any_structural_change_differs(self, rng):
+        m = random_pairwise(rng, n_lo=4, n_hi=4, k_lo=2, k_hi=2, edge_prob=1.0)
+        groups = [(g.scopes, g.tables) for g in m.groups]
+        unary, pair = groups
+        others = [
+            # one edge fewer: the last, or the first
+            GraphicalModel.from_arrays(m.label_counts, [unary, (pair[0][:-1], pair[1][:-1])]),
+            GraphicalModel.from_arrays(m.label_counts, [unary, (pair[0][1:], pair[1][1:])]),
+            # a node without a unary, which moves every edge's position
+            GraphicalModel.from_arrays(m.label_counts, [(unary[0][1:], unary[1][1:]), pair]),
+            # the same scopes over three labels
+            random_pairwise(rng, n_lo=4, n_hi=4, k_lo=3, k_hi=3, edge_prob=1.0),
+        ]
+        for other in others:
+            assert not same_rows(m, other)
+        assert not same_rows(others[0], others[1])  # same shapes, other scopes
+        assert same_rows(m, m)

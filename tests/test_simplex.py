@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mapprune import InstanceSpec, build_lp, generate
+from mapprune import InstanceSpec, build_lp, constraint_residuals, energies_close, generate
 from mapprune import simplex
 from mapprune.errors import SolverError
-from mapprune.simplex import solve_standard_form
+from mapprune.simplex import SimplexState, solve_standard_form
+from mapprune.tolerance import ENERGY_TOL, FEASIBILITY_TOL
 from conftest import random_pairwise, random_with_ternary
 
 
+def pairwise_models(rng):
+    return [random_pairwise(rng, n_lo=2, n_hi=6, mixed_labels=True) for _ in range(30)]
+
+
+def hyper_models(rng):
+    return [random_with_ternary(rng, n_lo=3, n_hi=5) for _ in range(8)]
+
+
 def pairwise_lps(rng):
-    return [build_lp(random_pairwise(rng, n_lo=2, n_hi=6, mixed_labels=True)) for _ in range(30)]
+    return [build_lp(m) for m in pairwise_models(rng)]
 
 
 def hyper_lps(rng):
-    return [build_lp(random_with_ternary(rng, n_lo=3, n_hi=5)) for _ in range(8)]
+    return [build_lp(m) for m in hyper_models(rng)]
 
 
 class TestKnownLPs:
@@ -115,3 +124,49 @@ class TestSparsePivot:
         assert hashlib.sha256(res.x.tobytes()).hexdigest() == (
             "8562c65fca4a8e90c3901a401d1dc86edfd84317ecc9f32e1a431fdc9323170b"
         )
+
+
+class TestResume:
+    """A solve resumed from the final state of a solve over the same A and b."""
+
+    @pytest.mark.parametrize("draw", [pairwise_lps, hyper_lps])
+    def test_own_state_and_objective_give_the_same_vertex_without_pivots(self, rng, draw):
+        for lp in draw(rng):
+            state = SimplexState()
+            cold = solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)
+            # keeping the state changes nothing about the cold solve
+            assert result_bytes(cold) == result_bytes(solve_standard_form(lp.c, lp.a_eq, lp.b_eq))
+            tableau = state.tableau
+            resumed = solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)
+            assert resumed.iterations == 0
+            assert resumed.x.tobytes() == cold.x.tobytes()
+            assert resumed.basis == cold.basis
+            assert state.tableau is tableau  # pivoted in place, not copied
+
+    @pytest.mark.parametrize("draw", [pairwise_models, hyper_models])
+    def test_perturbed_objective_matches_a_cold_solve(self, rng, draw):
+        pivots = 0
+        for model in draw(rng):
+            lp = build_lp(model)
+            state = SimplexState()
+            solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)
+            c = lp.c + rng.uniform(-1.0, 1.0, lp.num_vars)
+            resumed = solve_standard_form(c, lp.a_eq, lp.b_eq, state)
+            cold = solve_standard_form(c, lp.a_eq, lp.b_eq)
+            assert energies_close(resumed.value, cold.value, ENERGY_TOL)
+            norm, marg, lo = constraint_residuals(model, lp.unflatten(resumed.x))
+            assert max(norm, marg) <= FEASIBILITY_TOL and lo >= -FEASIBILITY_TOL
+            pivots += resumed.iterations
+        assert pivots > 0  # the perturbations moved the optimum
+
+    def test_state_of_another_shape_raises(self, rng):
+        lps = sorted(pairwise_lps(rng), key=lambda lp: lp.num_vars)
+        small, large = lps[0], lps[-1]
+        assert small.num_vars < large.num_vars
+        for held, other in ((small, large), (large, small)):
+            state = SimplexState()
+            solve_standard_form(held.c, held.a_eq, held.b_eq, state)
+            tableau = state.tableau.copy()
+            with pytest.raises(SolverError):
+                solve_standard_form(other.c, other.a_eq, other.b_eq, state)
+            assert np.array_equal(state.tableau, tableau)  # the state is left as it was
