@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -120,10 +120,11 @@ class AugmentedModel:
     test_labeling: PartialLabeling
     mode: str
 
-    def to_original_partial(self, labels: Sequence[int | None]) -> PartialLabeling:
-        return PartialLabeling.from_mapping(
-            {v: int(l) for v, l in zip(self.nodes, labels) if l is not None}
-        )
+    def to_original_partial(self, labels: np.ndarray) -> PartialLabeling:
+        """A solver output's committed ``labels`` (-1: fractional) on the original node ids."""
+        keep = labels >= 0
+        nodes = np.array(self.nodes, dtype=np.int64)[keep]
+        return PartialLabeling(tuple(nodes.tolist()), tuple(labels[keep].tolist()))
 
 
 def build_augmented_model(

@@ -163,7 +163,7 @@ def _cmd_solve(args) -> int:
     print(f"value {value!r}")
     print("labeling " + " ".join(out.render_labels()))
     for v in range(model.num_nodes):
-        if out.labels[v] is None:
+        if out.labels[v] < 0:
             print(f"marginal {v} " + " ".join(f"{m:.6g}" for m in mu.node[v]))
     return EXIT_OK
 

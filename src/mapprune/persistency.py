@@ -169,8 +169,9 @@ def prune(
     ``solver_iterations`` count the passes made from that warm state.
 
     A is kept as a sorted node array and the test labeling as one array
-    over all nodes (-1 where no label is committed).  Local node i of each
-    augmented model is A's i-th node, so the solver's output and the
+    over all nodes, with -1 where no label is committed, which is how a
+    solver output's ``labels`` marks a fractional node.  Local node i of
+    each augmented model is A's i-th node, so the solver's output and the
     boundary, fractional, disagreeing and surviving masks are all in A's
     order, and the survivors, in order, are the next A.
 
@@ -205,7 +206,7 @@ def prune(
     _log_solve(0, "cold", out)
     solved = model  # the model that ``out`` answers
     # The test labeling over all nodes (-1: not committed); A is its support.
-    labels = np.array([-1 if l is None else l for l in out.labels], dtype=np.int64)
+    labels = out.labels.copy()
     domain = np.flatnonzero(labels >= 0)
     trace = [
         IterationRecord(
@@ -263,7 +264,7 @@ def prune(
         # A boundary node disagrees when its new output keeps less than all of
         # its mass on its test label: a different committed label, or a
         # fractional output (uniform mass) over more than one label.
-        got = np.array([-1 if l is None else l for l in out.labels], dtype=np.int64)
+        got = out.labels
         fractional = got < 0
         boundary = np.zeros(len(domain), dtype=bool)
         boundary[np.searchsorted(domain, aug.test_labeling.domain)] = True

@@ -1,8 +1,9 @@
 """MAP / LP solvers behind a common integrally-correct interface.
 
-Every solver reports, per node, either a committed label or the fractional
-marker (None, rendered as "#").  The contract: whenever an output commits
-every node, the committed labeling is a global optimum of the energy.
+Every solver reports, per node, either a committed label or -1 for a
+fractional node (rendered as "#"), in one read-only int64 array.  The
+contract: whenever an output commits every node, the committed labeling is
+a global optimum of the energy.
 
 The brute-force solver computes the energy of every joint labeling at once,
 as one array with an axis per node (``_energy_table``, at most
@@ -12,7 +13,7 @@ ENUMERATION_CAP entries); the oracle reads its verdicts from the same array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,10 +37,12 @@ from .tolerance import (
 ENUMERATION_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverOutput:
-    """Per-node committed labels (None = fractional "#") plus a bound.
+    """Per-node committed labels plus a bound.
 
+    ``labels`` is a read-only int64 array with one entry per node: the
+    committed label, or -1 for a fractional node (rendered "#").
     ``stop`` says why the solve ended: "exact" for the exact solvers, else
     the message-passing rule that ended its loop ("agreement", "gap",
     "stall" or "max_passes").  ``bound_history`` is the bound after each
@@ -48,9 +51,11 @@ class SolverOutput:
     ``messages`` is the message-passing solver's final state, as the
     reparametrization it defines (None for the exact solvers):
     ``solve_trws(model, start=out.messages)`` resumes from it.
+
+    Outputs compare by value, ``messages`` aside, and are not hashable.
     """
 
-    labels: tuple[int | None, ...]
+    labels: np.ndarray
     objective_bound: float
     certificate: str  # "exact-ilp" | "exact-lp" | "tree-agreement"
     iterations: int
@@ -59,16 +64,30 @@ class SolverOutput:
     best_energy: float | None = None
     messages: Reparametrization | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        if not isinstance(other, SolverOutput):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+            if f.compare
+        )
+
     @property
     def committed_nodes(self) -> tuple[int, ...]:
-        return tuple(v for v, l in enumerate(self.labels) if l is not None)
+        return tuple(np.flatnonzero(self.labels >= 0).tolist())
 
     @property
     def is_fully_committed(self) -> bool:
-        return all(l is not None for l in self.labels)
+        return bool((self.labels >= 0).all())
 
     def render_labels(self) -> list[str]:
-        return ["#" if l is None else str(l) for l in self.labels]
+        return ["#" if l < 0 else str(l) for l in self.labels.tolist()]
 
 
 @dataclass(frozen=True)
@@ -142,7 +161,7 @@ def bruteforce_output(model: GraphicalModel, cap: int = ENUMERATION_CAP) -> Solv
     """The enumeration oracle wrapped as an integrally correct solver."""
     x, value, _ = solve_bruteforce(model, cap)
     return SolverOutput(
-        labels=tuple(x), objective_bound=value, certificate="exact-ilp", iterations=1,
+        labels=x, objective_bound=value, certificate="exact-ilp", iterations=1,
         best_energy=value,
     )
 
@@ -180,7 +199,7 @@ def solve_lp_exact(
     node[rows, top] = -np.inf
     committed = (at_top >= 1.0 - INTEGRALITY_TOL) & (node.max(axis=1) <= INTEGRALITY_TOL)
     out = SolverOutput(
-        labels=tuple(l if c else None for l, c in zip(top.tolist(), committed.tolist())),
+        labels=np.where(committed, top, -1),
         objective_bound=res.value,
         certificate="exact-lp",
         iterations=res.iterations,
@@ -412,8 +431,9 @@ class _TrwsRun:
             x[nodes] = score.argmin(axis=1)
         return x
 
-    def commitments(self, unaries: np.ndarray) -> tuple[int | None, ...]:
-        """Committed labels under the strong-agreement rule.
+    def commitments(self, unaries: np.ndarray) -> np.ndarray:
+        """Committed labels under the strong-agreement rule, -1 where a node
+        does not commit.
 
         A node commits when its averaged min-marginal has a unique argmin
         (margin TIE_TOL) and every incident edge's chain subproblem
@@ -444,7 +464,7 @@ class _TrwsRun:
         pair_off = m[e, iu, iv] > high
         ok[eu[(cu >= 0) & np.where(cv >= 0, pair_off, m[e, iu, :].min(axis=1) > high)]] = False
         ok[ev[(cv >= 0) & np.where(cu >= 0, pair_off, m[e, :, iv].min(axis=1) > high)]] = False
-        return tuple(l if c else None for l, c in zip(first.tolist(), ok.tolist()))
+        return np.where(ok, first, -1)
 
 
 def solve_trws(
@@ -481,7 +501,7 @@ def solve_trws(
         best_energy = min(best_energy, _sum_in_order(model, run.extract_labeling(unaries)))
 
         labels = run.commitments(unaries)
-        committed = sum(1 for l in labels if l is not None)
+        committed = np.count_nonzero(labels >= 0)
 
         if committed == model.num_nodes:
             reason = "agreement"
@@ -499,12 +519,10 @@ def solve_trws(
             best_committed = committed
             stall = 0
 
-    if all(l is not None for l in labels):
-        x = tuple(labels)  # type: ignore[arg-type]
-        ex = energy(model, x)
-        if not energies_close(ex, best_bound, CRITERION_TOL):
+    if committed == model.num_nodes:
+        if not energies_close(energy(model, labels), best_bound, CRITERION_TOL):
             # Cannot certify optimality: refuse to commit anything.
-            labels = tuple([None] * model.num_nodes)
+            labels = np.full(model.num_nodes, -1)
 
     return SolverOutput(
         labels=labels,

@@ -136,6 +136,8 @@ def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
 def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:
     """-log of each positive entry; entries <= 0 are forbidden and get a big-M.
 
+    A NaN or infinite entry is no probability and raises UaiParseError.
+
     A forbidden entry of factor g costs g's largest finite cost plus the sum
     over all factors of their finite spreads (max - min), plus a margin.  A
     labeling that uses it then costs at least the margin more than any
@@ -149,6 +151,9 @@ def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:
     """
     costs, allowed = [], []
     for i, arr in enumerate(tables):
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise UaiParseError(f"factor {i} has probability {float(bad[0])}, not a finite number")
         ok = arr > 0.0
         if not ok.any():
             raise UaiParseError(

@@ -233,7 +233,7 @@ def test_criterion_07_frustrated_instances():
     m3 = frustrated_cycle(3, 2, alpha=1.0)
     mu, value, out = solve_lp_exact(m3)
     assert abs(value - 1.5) <= 1e-7
-    assert out.labels == (None, None, None)
+    assert out.labels.tolist() == [-1, -1, -1]
     for vec in mu.node:
         assert np.allclose(vec, [0.5, 0.5], atol=1e-7)
     for solver in ("exact-lp", "trws"):

@@ -12,6 +12,7 @@ from mapprune import (
     StopRule,
     UaiParseError,
     build_augmented_model,
+    frustrated_cycle,
     generate,
     parse_uai,
     persistency_percentage,
@@ -118,6 +119,12 @@ class TestParseUai:
         # the forbidden label costs at least 1 more than every feasible labeling
         assert m.factors[0].table[1] >= m.factors[0].table[0] + 1.0
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_probability_mode_rejects_non_finite_entry(self, entry):
+        text = f"MARKOV\n2\n2 2\n2\n1 0\n1 1\n\n2\n 1 0\n\n2\n 0.5 {entry}\n"
+        with pytest.raises(UaiParseError, match=f"factor 1 .*{entry}"):
+            parse_uai(text, values="probability")
+
     def test_probability_mode_rejects_all_zero_factor(self):
         with pytest.raises(UaiParseError, match="no labeling is feasible"):
             parse_uai("MARKOV\n1\n2\n1\n1 0\n\n2\n 0 0\n", values="probability")
@@ -222,6 +229,17 @@ class TestCli:
         assert out.splitlines()[:2] == [
             f"{'bound' if solver == 'trws' else 'value'} -10.0", "labeling 0 0",
         ]
+
+    @pytest.mark.parametrize("solver", ["lp", "trws"])
+    def test_solve_prints_fractional_nodes(self, tmp_path, capsys, solver):
+        """A fractional node prints as "#", and under lp its marginal follows."""
+        model_path = tmp_path / "m.uai"
+        model_path.write_text(write_uai(frustrated_cycle()))
+        assert main(["solve", str(model_path), "--solver", solver]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "labeling # # #"
+        if solver == "lp":
+            assert lines[2:] == [f"marginal {v} 0.5 0.5" for v in range(3)]
 
     @pytest.mark.parametrize("command", ["solve", "prune"])
     @pytest.mark.parametrize("solver", ["bruteforce", "lp", "trws"])

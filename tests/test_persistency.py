@@ -239,7 +239,7 @@ class TestResumedSolve:
         assert {i for i, *_ in resumed} >= {0, 1, 2}  # every grid resumes
         assert len(resumed) > 3  # and so do some hard-constraint models
         for i, aug, out, pivots, record in resumed:
-            assert out.labels == solvers.solve_lp_exact(aug.model)[2].labels
+            assert np.array_equal(out.labels, solvers.solve_lp_exact(aug.model)[2].labels)
             assert record.solver_iterations == pivots
             if i < 3:
                 assert pivots == 0
@@ -292,6 +292,20 @@ class TestCheckCriterion:
         v = check_criterion(m, [3], x, solver="bruteforce")
         assert not v.holds
         assert v.witness_labeling.label_of(3) == 0
+
+    @pytest.mark.parametrize("solver", ["exact-lp", "trws"])
+    def test_witness_maps_committed_local_nodes_back(self, solver):
+        """On a subset with gaps in its ids, the witness holds the original
+        ids of the nodes the solve commits, and none of the fractional ones."""
+        differ = [[1.0, 0.0], [0.0, 1.0]]  # a "not equal" cycle is frustrated
+        m = GraphicalModel(
+            [2] * 6,
+            [Factor((v,), [0.0, 1.0]) for v in (0, 2, 4)]
+            + [Factor(e, differ) for e in ((1, 3), (3, 5), (1, 5))],
+        )
+        v = check_criterion(m, [1, 3, 4, 5], PartialLabeling((1, 3, 4, 5), (0, 1, 0, 0)), solver=solver)
+        assert not v.holds
+        assert v.witness_labeling == PartialLabeling((4,), (0,))
 
     def test_lp_implies_bruteforce_implies_persistent(self, rng):
         # nested sufficiency chain on random candidates

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestLpExact:
         m = frustrated_cycle(3, 2, alpha=1.0)
         mu, value, out = solve_lp_exact(m)
         assert abs(value - 1.5) <= 1e-7
-        assert out.labels == (None, None, None)
+        assert out.labels.tolist() == [-1, -1, -1]
         for vec in mu.node:
             assert np.allclose(vec, [0.5, 0.5], atol=1e-7)
         _, ilp_value, _ = solve_bruteforce(m)
@@ -130,7 +131,7 @@ class TestLpExact:
         )
         mu, value, out = solve_lp_exact(m)
         assert abs(value - 0.0) <= 1e-9
-        assert out.labels == (None, None, None)
+        assert out.labels.tolist() == [-1, -1, -1]
         _, ilp_value, _ = solve_bruteforce(m)
         assert abs(ilp_value - 1.0) <= 1e-9
 
@@ -141,7 +142,7 @@ class TestLpExact:
         )
         _, value, out = solve_lp_exact(m)
         assert value == 1.0
-        assert out.labels == (1, 0)
+        assert out.labels.tolist() == [1, 0]
 
     def test_ternary_models_supported(self, rng):
         for _ in range(5):
@@ -158,14 +159,14 @@ class TestTrws:
             [Factor((0,), [3, 1]), Factor((1,), [0, 5, 2]), Factor((0, 1), np.zeros((2, 3)))],
         )
         out = solve_trws(m)
-        assert out.labels == (1, 0)
+        assert out.labels.tolist() == [1, 0]
         assert out.iterations == 1
         assert out.stop == "agreement"
         assert abs(out.objective_bound - 1.0) <= 1e-12
 
     def test_frustrated_cycle_all_fractional(self):
         out = solve_trws(frustrated_cycle())
-        assert out.labels == (None, None, None)
+        assert out.labels.tolist() == [-1, -1, -1]
 
     def test_biased_grid_fully_committed(self, rng):
         m = generate(
@@ -286,7 +287,7 @@ class TestSolverOutputDiagnostics:
         assert solve_lp_exact(m)[1] == value
         out = solve_trws(m)
         assert out.objective_bound == out.best_energy == value
-        assert out.labels == (0, 0)
+        assert out.labels.tolist() == [0, 0]
 
 
 class TestDeterminism:
@@ -299,3 +300,56 @@ class TestDeterminism:
     def test_trws_output_stable(self, rng):
         m = random_pairwise(rng, n_lo=6, n_hi=6)
         assert solve_trws(m) == solve_trws(m)
+
+
+def _cold_solve(solver, m):
+    if solver == "exact-lp":
+        return solve_lp_exact(m)[2]
+    if solver == "trws":
+        return solve_trws(m)
+    return bruteforce_output(m)
+
+
+class TestSolverOutputLabels:
+    """Every solver hands the loop one read-only int64 label array, -1 for a
+    fractional node, and outputs compare by value without ``messages``."""
+
+    MODELS = {"empty": lambda: GraphicalModel([], [Factor((), 2.0)]), "frustrated": frustrated_cycle}
+
+    @pytest.fixture(params=["exact-lp", "trws", "bruteforce"])
+    def solver(self, request):
+        return request.param
+
+    @pytest.fixture(params=sorted(MODELS))
+    def model(self, request):
+        return self.MODELS[request.param]()
+
+    def test_labels_array(self, solver, model):
+        labels = _cold_solve(solver, model).labels
+        assert labels.dtype == np.int64 and labels.shape == (model.num_nodes,)
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[...] = 0
+
+    def test_fractional_is_minus_one_and_renders_hash(self, solver, model):
+        out = _cold_solve(solver, model)
+        assert [l < 0 for l in out.labels.tolist()] == [s == "#" for s in out.render_labels()]
+        assert out.committed_nodes == tuple(np.flatnonzero(out.labels >= 0))
+        assert out.is_fully_committed == (len(out.committed_nodes) == model.num_nodes)
+
+    def test_value_equality(self, solver, model):
+        out = _cold_solve(solver, model)
+        assert out == _cold_solve(solver, model)
+        assert dataclasses.replace(out, messages=None) == out  # messages take no part
+        assert dataclasses.replace(out, best_energy=-1.5) != out
+        if model.num_nodes:
+            flipped = out.labels.copy()
+            flipped[0] = 1 if flipped[0] != 1 else 0
+            assert dataclasses.replace(out, labels=flipped) != out
+        with pytest.raises(TypeError):
+            hash(out)
+
+    def test_caller_array_not_frozen(self):
+        mine = np.array([1, -1])
+        out = dataclasses.replace(bruteforce_output(chain_model()), labels=mine)
+        assert out.labels.tolist() == [1, -1] and mine.flags.writeable
