@@ -87,7 +87,7 @@ def _surviving_messages(
     if messages is None:
         return None
     inside = keep[model._scopes(2)].all(axis=1)  # the rows of model.edges()
-    k = max((c for c, kept in zip(model.label_counts, keep) if kept), default=1)
+    k = int(np.array(model.label_counts)[keep].max(initial=1))
     return Reparametrization(messages.forward[inside, :k], messages.backward[inside, :k])
 
 

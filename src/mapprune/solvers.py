@@ -219,14 +219,24 @@ def _rows(keys: np.ndarray, values: np.ndarray, num_rows: int, fill: int) -> np.
     return out
 
 
-def _by_key(keys: np.ndarray, num: int, items: np.ndarray | None = None) -> list[np.ndarray]:
-    """The positions of ``keys`` (or ``items`` at them) grouped by key
-    0..num-1, in input order within each key."""
-    order = np.argsort(keys, kind="stable")
-    if items is not None:
-        order = items[order]
-    ends = np.cumsum(np.bincount(keys, minlength=num)).tolist()
-    return [order[a:b] for a, b in zip([0] + ends, ends)]
+def _cut(level: np.ndarray, num: int) -> tuple[list[slice], np.ndarray]:
+    """For an array sorted by ``level`` (0..num-1): each level's slice of
+    it, and each level's start."""
+    counts = np.bincount(level, minlength=num)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())], starts
+
+
+def _add_rows(first: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``first + rows[index[:, 0]] + rows[index[:, 1]] + …``, added left to
+    right, as one gather and one reduction: ``np.add.reduce`` over the
+    leading axis adds its rows in order."""
+    if not index.shape[1]:
+        return first
+    terms = rows[index.T]
+    terms[0] += first
+    return np.add.reduce(terms, axis=0)
 
 
 class _TrwsRun:
@@ -249,13 +259,19 @@ class _TrwsRun:
     the last row is -0.0, which adds exactly nothing and pads ``incoming``,
     each node's incoming message rows in ascending neighbor order.  Padded
     message entries stay 0, so aggregates are +inf there and mins skip them.
+    A node's aggregate is its unary plus its incoming rows, added in order
+    by one gather and one reduction (``_add_rows``).
 
     A node's forward level is 1 + the highest forward level among its
     earlier neighbors (0 without any); its backward level mirrors that over
     later neighbors.  Nodes on one level share no edge and read only messages
     written on lower levels or by the other sweep, so each level is one
     batched update that computes, for every node, the same floats in the
-    same order as the node-by-node sweep.
+    same order as the node-by-node sweep.  Each kind of level (forward
+    senders, backward receivers, rounding nodes) sorts its nodes and edges
+    by level once, gathers their constants once in that order, and holds
+    each level as views of those arrays.  A level whose receivers pad no
+    label holds None for their labels and writes its messages unmasked.
     """
 
     def __init__(self, model: GraphicalModel):
@@ -312,15 +328,14 @@ class _TrwsRun:
         num_forward = int(forward_level.max(initial=-1)) + 1
         num_backward = int(backward_level.max(initial=-1)) + 1
 
-        # Forward: a level's senders, each with its edges to later neighbors.
-        self.forward_levels = []
-        for edges in _by_key(forward_level[eu], num_forward):
-            if edges.size:
-                sender = eu[edges]  # ascending, like the edges
-                first = np.append(True, sender[1:] != sender[:-1])
-                self.forward_levels.append(
-                    self._batch(sender[first], edges, np.cumsum(first) - 1, self.tables, ev)
-                )
+        # Forward: a level's senders, each with its edges to later neighbors
+        # in edge order, which sorts them by sender.
+        edges = np.argsort(forward_level[eu], kind="stable")
+        sender = eu[edges]
+        first = np.ones(num_edges, dtype=bool)
+        first[1:] = sender[1:] != sender[:-1]
+        batches, _, _ = self._batches(forward_level, num_forward, sender[first], edges, eu, self.tables, ev)
+        self.forward_levels = [batch for batch in batches if len(batch[3])]
 
         # The bound's terms in node-by-node order: v from last to first, the
         # term of the chains starting at v, then one constant per earlier
@@ -334,44 +349,72 @@ class _TrwsRun:
         edge_slot[by_receiver] = (first_slot + has_start)[ev[by_receiver]] + edge_rank
         self.terms = np.zeros(1 + int(slots.sum()))
         self.terms[0] = sum(constants)
-        tables_t = self.tables.transpose(0, 2, 1).copy()
 
-        # Each level's edges from earlier neighbors, by receiver, then edge.
-        def receives(level, num):
-            return _by_key(level[ev[by_receiver]], num, by_receiver)
-
-        self.backward_levels = []
-        for nodes, edges in zip(_by_key(backward_level, num_backward), receives(backward_level, num_backward)):
-            pos = np.searchsorted(nodes, ev[edges])
-            starts = np.flatnonzero(has_start[nodes])
-            self.backward_levels.append((
-                self._batch(nodes, edges, pos, tables_t, eu),
-                starts,
-                (weight - num_earlier)[nodes[starts]].astype(np.float64),
-                first_slot[nodes[starts]],
-                edge_slot[edges],
-            ))
-
-        self.rounding_levels = []
-        for nodes, edges in zip(_by_key(forward_level, num_forward), receives(forward_level, num_forward)):
-            owner = np.searchsorted(nodes, ev[edges])
-            rows = _rows(owner, np.arange(len(edges)), len(nodes), len(edges))
-            self.rounding_levels.append((nodes, edges, eu[edges], rows))
-
-    def _batch(self, nodes, edges, pos, tables, receivers):
-        """One level's gathered constants: the nodes' unaries, incoming rows
-        and weights; its edges, each edge's sender position among the nodes,
-        the edges' tables oriented sender first, and the receivers' labels."""
-        width = int(self.degree[nodes].max(initial=0))
-        return (
-            self.unary[nodes],
-            self.incoming[nodes, :width],
-            self.weight[nodes],
-            edges,
-            pos,
-            tables[edges],
-            self.valid[receivers[edges]],
+        # Backward: every node of a level, each with its edges from earlier
+        # neighbors, by receiver, then edge.
+        nodes = np.argsort(backward_level, kind="stable")
+        edges = by_receiver[np.argsort(backward_level[ev[by_receiver]], kind="stable")]
+        batches, edge_cuts, local = self._batches(
+            backward_level, num_backward, nodes, edges, ev, self.tables.transpose(0, 2, 1), eu
         )
+        starts = np.flatnonzero(has_start[nodes])
+        start_cuts, _ = _cut(backward_level[nodes[starts]], num_backward)
+        chains = (weight - num_earlier)[nodes[starts]].astype(np.float64)
+        start_slots = first_slot[nodes[starts]]
+        starts = local[starts]
+        edge_slots = edge_slot[edges]
+        self.backward_levels = [
+            (batch, starts[s], chains[s], start_slots[s], edge_slots[e])
+            for batch, s, e in zip(batches, start_cuts, edge_cuts)
+        ]
+
+        # Rounding: every node of a forward level, with its edges ordered as
+        # the backward ones.  It keeps its labels in level order, so that a
+        # level's nodes are a slice and its edges' senders are positions on
+        # lower levels; ``rows`` lists each node's edges, padded with E.
+        nodes = np.argsort(forward_level, kind="stable")
+        edges = by_receiver[np.argsort(forward_level[ev[by_receiver]], kind="stable")]
+        rank = np.empty(n, dtype=np.int64)
+        rank[nodes] = np.arange(n)
+        node_level = forward_level[nodes]
+        rows = _rows(rank[ev[edges]], np.arange(num_edges), n, num_edges)
+        width = np.zeros(num_forward, dtype=np.int64)
+        np.maximum.at(width, node_level, num_earlier[nodes])
+        node_cuts, _ = _cut(node_level, num_forward)
+        edge_cuts, _ = _cut(forward_level[ev[edges]], num_forward)
+        senders = rank[eu[edges]]
+        self.rounding_order = nodes
+        self.rounding_levels = [
+            (a, b, edges[b], senders[b], rows[a, :w])
+            for a, b, w in zip(node_cuts, edge_cuts, width.tolist())
+        ]
+
+    def _batches(self, level, num, nodes, edges, owner, tables, receivers):
+        """Each level's gathered constants, as views of arrays gathered once
+        in level order: the level's nodes' unaries, incoming rows (as wide as
+        the level's largest degree) and weights; its edges, each edge's
+        owner's position among the level's nodes, the edges' tables
+        oriented owner first, and the receivers' labels (None where the
+        level pads none).  ``nodes`` and ``edges`` are sorted by level,
+        ``owner[edges]`` being each edge's node.  Also returns each level's
+        slice of ``edges`` and each node's position within its level."""
+        node_level, edge_level = level[nodes], level[owner[edges]]
+        node_cuts, node_starts = _cut(node_level, num)
+        edge_cuts, _ = _cut(edge_level, num)
+        local = np.arange(len(nodes)) - node_starts[node_level]
+        rank = np.empty(len(level), dtype=np.int64)
+        rank[nodes] = np.arange(len(nodes))
+        width = np.zeros(num, dtype=np.int64)
+        np.maximum.at(width, node_level, self.degree[nodes])
+        labels = self.valid[receivers[edges]]
+        padded = np.bincount(edge_level, ~labels.all(axis=1), minlength=num) > 0
+        unary, incoming, weight = self.unary[nodes], self.incoming[nodes], self.weight[nodes]
+        pos, tables = local[rank[owner[edges]]], np.ascontiguousarray(tables[edges])
+        batches = [
+            (unary[a], incoming[a, :w], weight[a], edges[b], pos[b], tables[b], labels[b] if p else None)
+            for a, b, w, p in zip(node_cuts, edge_cuts, width.tolist(), padded.tolist())
+        ]
+        return batches, edge_cuts, local
 
     def resume(self, state: Reparametrization) -> None:
         """Start from the messages that ``state`` defines (see ``state()``)
@@ -385,51 +428,46 @@ class _TrwsRun:
         Reparametrization's shift with the opposite sign."""
         return Reparametrization(-self.fwd, -self.bwd)
 
-    def _aggregate(self, unary: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        d = unary
-        for rows in incoming.T:
-            d = d + self.msg[rows]
-        return d
-
     def aggregates(self) -> np.ndarray:
         """Every node's unary plus its incoming messages, as (n, k)."""
-        return self._aggregate(self.unary, self.incoming)
+        return _add_rows(self.unary, self.msg, self.incoming)
 
     def forward_sweep(self) -> None:
         for unary, incoming, weight, edges, pos, tables, receiver_labels in self.forward_levels:
-            d = self._aggregate(unary, incoming) / weight
+            d = _add_rows(unary, self.msg, incoming) / weight
             t = d[pos] - self.bwd[edges]
             new = (t[:, :, None] + tables).min(axis=1)
-            self.fwd[edges] = np.where(receiver_labels, new, 0.0)
+            self.fwd[edges] = new if receiver_labels is None else np.where(receiver_labels, new, 0.0)
 
     def backward_sweep(self) -> float:
         """Update messages to earlier neighbors; returns the dual bound."""
         terms = self.terms
         for level, starts, chains, start_slots, edge_slots in self.backward_levels:
             unary, incoming, weight, edges, pos, tables, receiver_labels = level
-            d = self._aggregate(unary, incoming) / weight
+            d = _add_rows(unary, self.msg, incoming) / weight
             terms[start_slots] = chains * d[starts].min(axis=1)
             t = d[pos] - self.fwd[edges]
             new = (t[:, :, None] + tables).min(axis=1)
             delta = new.min(axis=1)
-            self.bwd[edges] = np.where(receiver_labels, new - delta[:, None], 0.0)
+            new -= delta[:, None]
+            self.bwd[edges] = new if receiver_labels is None else np.where(receiver_labels, new, 0.0)
             terms[edge_slots] = delta
         return float(np.cumsum(terms)[-1])
 
     def extract_labeling(self, unaries: np.ndarray) -> np.ndarray:
         """Greedy sequential rounding conditioned on already-fixed neighbors,
         one forward level at a time."""
-        x = np.zeros(len(unaries), dtype=np.int64)
-        pad = np.full((1, unaries.shape[1]), -0.0)
-        for nodes, edges, senders, rows in self.rounding_levels:
+        unaries = unaries[self.rounding_order]
+        x = np.empty(len(unaries), dtype=np.int64)  # in level order
+        residual = np.empty((len(self.eu) + 1, unaries.shape[1]))  # in rounding edge order
+        residual[-1] = -0.0
+        for nodes, cut, edges, senders, rows in self.rounding_levels:
             lu = x[senders]
-            residual = (self.tables[edges, lu, :] - self.fwd[edges]) - self.bwd[edges, lu][:, None]
-            residual = np.concatenate((residual, pad))
-            score = unaries[nodes]
-            for r in rows.T:
-                score = score + residual[r]
-            x[nodes] = score.argmin(axis=1)
-        return x
+            residual[cut] = (self.tables[edges, lu, :] - self.fwd[edges]) - self.bwd[edges, lu][:, None]
+            x[nodes] = _add_rows(unaries[nodes], residual, rows).argmin(axis=1)
+        labels = np.empty_like(x)
+        labels[self.rounding_order] = x
+        return labels
 
     def commitments(self, unaries: np.ndarray) -> np.ndarray:
         """Committed labels under the strong-agreement rule, -1 where a node
@@ -520,7 +558,7 @@ def solve_trws(
             stall = 0
 
     if committed == model.num_nodes:
-        if not energies_close(energy(model, labels), best_bound, CRITERION_TOL):
+        if not energies_close(_sum_in_order(model, labels), best_bound, CRITERION_TOL):
             # Cannot certify optimality: refuse to commit anything.
             labels = np.full(model.num_nodes, -1)
 
