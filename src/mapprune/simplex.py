@@ -1,8 +1,11 @@
 """Two-phase primal simplex with Bland's anti-cycling rule.
 
 Solves min c.z subject to A z = b, z >= 0 on a tableau stored as one dense
-array, but each pivot rewrites only the rows whose pivot-column entry is
-nonzero: on local-polytope LPs that is usually a small fraction of the rows.
+array, but each pivot rewrites only the entries where a row with a nonzero
+in the pivot column meets a nonzero column of the pivot row, so its work is
+the product of those two counts, plus one scan of the entering column and
+one of the pivot row.  On local-polytope LPs both counts are usually a
+handful.
 Bland's rule (lowest eligible index enters, ratio ties leave by lowest basis
 index) makes the pivot sequence, and therefore the returned vertex,
 deterministic for identical input bytes.  A ``SimplexState`` keeps a
@@ -28,16 +31,22 @@ class SimplexResult:
     basis: tuple[int, ...]
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    # Only rows with a nonzero in the pivot column change; the others would
-    # get x - 0*y = x.
-    rows = np.flatnonzero(T[:, col])
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int, rows: np.ndarray) -> None:
+    """Pivot on (row, col), given ``rows``, every row with a nonzero in col.
+
+    Only those rows change, and in them only the pivot row's nonzero
+    columns: any other entry would get x - a*0 = x.  The pivot column comes
+    out exact: the pivot row's entry becomes a/a = 1, every other row's
+    entry e becomes e - e*1 = 0.  T is C-contiguous, so its flat view
+    writes through.
+    """
+    pivot_row = T[row]
+    pivot_row /= pivot_row[col]
+    # A boolean array's nonzero() is several times faster than a float one's.
+    nz = (pivot_row != 0.0).nonzero()[0]
     rows = rows[rows != row]
-    T[rows] -= np.outer(T[rows, col], T[row])
-    # Clean the pivot column exactly to keep later index tests sharp.
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    at = np.add.outer(rows * T.shape[1], nz)  # flat indices of rows x nz
+    T.reshape(-1)[at] -= np.multiply.outer(T[rows, col], pivot_row[nz])
     basis[row] = col
 
 
@@ -46,20 +55,24 @@ def _run(T: np.ndarray, basis: np.ndarray, allowed: int, max_pivots: int, start:
     m = T.shape[0] - 1
     count = start
     while True:
-        rc = T[m, :allowed]
-        entering = np.flatnonzero(rc < -RC_TOL)
+        entering = (T[m, :allowed] < -RC_TOL).nonzero()[0]
         if entering.size == 0:
             return count
         j = int(entering[0])
-        col = T[:m, j]
-        pos = np.flatnonzero(col > PIVOT_TOL)
-        if pos.size == 0:
+        # One scan of the entering column serves the ratio test and the pivot.
+        # Its objective-row entry is below -RC_TOL, so never a candidate.
+        rows = T[:, j].nonzero()[0]
+        ratios = [
+            (rhs / a, r)
+            for r, a, rhs in zip(rows.tolist(), T[rows, j].tolist(), T[rows, -1].tolist())
+            if a > PIVOT_TOL
+        ]
+        if not ratios:
             raise SolverError("LP is unbounded (broken constraint system)")
-        ratios = T[:m, -1][pos] / col[pos]
-        best = ratios.min()
-        ties = pos[within(ratios, best, scaled(RATIO_TIE_TOL, best))]
-        i = int(ties[np.argmin(basis[ties])])
-        _pivot(T, basis, i, j)
+        best = min(q for q, _ in ratios)
+        slack = scaled(RATIO_TIE_TOL, best)
+        i = min((r for q, r in ratios if within(q, best, slack)), key=basis.__getitem__)
+        _pivot(T, basis, i, j, rows)
         count += 1
         if count > max_pivots:
             raise SolverError(f"simplex exceeded the pivot budget ({max_pivots})")
@@ -109,7 +122,8 @@ def _phase1(A: np.ndarray, b: np.ndarray, max_pivots: int) -> tuple[np.ndarray, 
             continue
         structural = np.flatnonzero(np.abs(T[row, :n]) > PIVOT_TOL)
         if structural.size:
-            _pivot(T, basis, row, int(structural[0]))
+            col = int(structural[0])
+            _pivot(T, basis, row, col, T[:, col].nonzero()[0])
             pivots += 1
         else:
             keep[row] = False
@@ -129,9 +143,10 @@ def solve_standard_form(
 ) -> SimplexResult:
     """Minimize c.z over {A z = b, z >= 0}; returns an optimal basic solution.
 
-    Raises SolverError if the pivot budget, 20000 + 50 (m + n) pivots for an
-    m x n system, is exhausted or the system is infeasible (which cannot
-    happen for well-formed marginal polytopes).
+    Raises SolverError if c, A or b holds a NaN or an infinity, if the pivot
+    budget, 20000 + 50 (m + n) pivots for an m x n system, is exhausted, or
+    if the system is infeasible (which cannot happen for well-formed
+    marginal polytopes).
 
     With an empty ``state``, the solve leaves its final tableau and basis
     there.  With a ``state`` that holds those of a solve over the same A
@@ -149,6 +164,9 @@ def solve_standard_form(
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise SolverError(f"inconsistent LP shapes: A {A.shape}, b {b.shape}, c {c.shape}")
+    for name, v in (("c", c), ("A", A), ("b", b)):
+        if not np.isfinite(v).all():
+            raise SolverError(f"LP {name} holds a non-finite entry")
     max_pivots = 20000 + 50 * (m + n)
 
     if state is not None and state.tableau is not None:

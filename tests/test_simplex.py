@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mapprune import InstanceSpec, build_lp, constraint_residuals, energies_close, generate
+from mapprune import (
+    InstanceSpec, build_lp, constraint_residuals, energies_close, generate, parse_uai,
+)
 from mapprune import simplex
 from mapprune.errors import SolverError
 from mapprune.simplex import SimplexState, solve_standard_form
 from mapprune.tolerance import ENERGY_TOL, FEASIBILITY_TOL
 from conftest import random_pairwise, random_with_ternary
+from test_acceptance import hard_constraint_instance
 
 
 def pairwise_models(rng):
@@ -28,7 +31,38 @@ def hyper_lps(rng):
     return [build_lp(m) for m in hyper_models(rng)]
 
 
+def strong_grid_lps(_rng=None):
+    """Strongly coupled 6x6x3 Potts grids: 1,302-1,815 pivots each, on
+    columns that fill in."""
+    return [
+        build_lp(generate(InstanceSpec(
+            kind="potts-grid", height=6, width=6, labels=3,
+            coupling=(0.3, 1.0), noise=(0.0, 1.0), seed=seed,
+        )))
+        for seed in range(4)
+    ]
+
+
+def probability_lps(rng):
+    """Hard constraints: every zero probability is a big-M cost."""
+    return [build_lp(parse_uai(hard_constraint_instance(rng), values="probability")) for _ in range(8)]
+
+
 class TestKnownLPs:
+    @pytest.mark.parametrize("where, entry", [
+        ("a_eq", np.nan), ("a_eq", np.inf), ("b_eq", np.nan), ("b_eq", np.inf),
+        ("c", np.nan), ("c", -np.inf),
+    ])
+    def test_non_finite_input_raises(self, where, entry):
+        lp = {
+            "c": np.array([1.0, 2.0, 1.0]),
+            "a_eq": np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+            "b_eq": np.array([1.0, 1.0]),
+        }
+        lp[where].flat[-1] = entry
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_standard_form(**lp)
+
     def test_tiny_equality_lp(self):
         # min x0 + 2 x1  s.t.  x0 + x1 = 1
         res = solve_standard_form(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
@@ -46,6 +80,10 @@ class TestKnownLPs:
         a = np.array([[1.0, 1.0], [2.0, 2.0]])
         res = solve_standard_form(np.array([0.0, 1.0]), a, np.array([1.0, 2.0]))
         assert res.value == 0.0
+
+    def test_no_variables(self):
+        res = solve_standard_form(np.zeros(0), np.zeros((1, 0)), np.zeros(1))
+        assert res.value == 0.0 and res.x.size == 0 and res.basis == ()
 
     def test_infeasible_raises(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -81,8 +119,9 @@ class TestDeterminism:
         assert np.array_equal(r1.x, r2.x)
 
 
-def dense_pivot(T, basis, row, col):
-    """The pivot that updated every row; the reference for the sparse one."""
+def dense_pivot(T, basis, row, col, rows):
+    """The pivot that updated every entry; the reference for the sparse one.
+    It ignores ``rows``, the pivot column's nonzero rows."""
     T[row] /= T[row, col]
     column = T[:, col].copy()
     column[row] = 0.0
@@ -97,13 +136,31 @@ def result_bytes(res):
 
 
 class TestSparsePivot:
-    @pytest.mark.parametrize("draw", [pairwise_lps, hyper_lps])
+    @pytest.mark.parametrize("draw", [pairwise_lps, hyper_lps, strong_grid_lps, probability_lps])
     def test_same_results_as_dense_pivot(self, rng, monkeypatch, draw):
         lps = draw(rng)
         sparse = [result_bytes(solve_standard_form(lp.c, lp.a_eq, lp.b_eq)) for lp in lps]
         monkeypatch.setattr(simplex, "_pivot", dense_pivot)
         dense = [result_bytes(solve_standard_form(lp.c, lp.a_eq, lp.b_eq)) for lp in lps]
         assert sparse == dense
+
+    @pytest.mark.parametrize("draw", [pairwise_lps, strong_grid_lps])
+    def test_resumed_solves_same_as_dense_pivot(self, rng, monkeypatch, draw):
+        lps = draw(rng)
+        objectives = [lp.c + rng.uniform(-1.0, 1.0, lp.num_vars) for lp in lps]
+
+        def solve_and_resume():
+            out = []
+            for lp, c in zip(lps, objectives):
+                state = SimplexState()
+                out.append(result_bytes(solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)))
+                out.append(result_bytes(solve_standard_form(c, lp.a_eq, lp.b_eq, state)))
+            return out
+
+        sparse = solve_and_resume()
+        assert sum(res[3] for res in sparse[1::2]) > 0  # the resumed solves pivot
+        monkeypatch.setattr(simplex, "_pivot", dense_pivot)
+        assert solve_and_resume() == sparse
 
     def test_grid_vertex_matches_golden(self):
         """Pivot count, value and vertex of one 8x8x3 Potts grid's LP, as
