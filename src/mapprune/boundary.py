@@ -124,7 +124,7 @@ class AugmentedModel:
         """A solver output's committed ``labels`` (-1: fractional) on the original node ids."""
         keep = labels >= 0
         nodes = np.array(self.nodes, dtype=np.int64)[keep]
-        return PartialLabeling(tuple(nodes.tolist()), tuple(labels[keep].tolist()))
+        return PartialLabeling._sorted(tuple(nodes.tolist()), tuple(labels[keep].tolist()))
 
 
 def build_augmented_model(
@@ -208,7 +208,7 @@ def build_gamma_model(
     if not model.is_pairwise:
         raise UnsupportedArityError("the improving-mapping energy needs a pairwise model")
     ys = model.validate_labeling(y)
-    full = PartialLabeling(tuple(range(model.num_nodes)), ys)
+    full = PartialLabeling._sorted(tuple(range(model.num_nodes)), ys)
     aug = build_augmented_model(model, nodes, full, mode="optimal")
     original = np.array(aug.nodes, dtype=np.int64)
     labels = np.array(ys, dtype=np.int64)

@@ -387,6 +387,16 @@ class PartialLabeling:
         object.__setattr__(self, "labels", labs)
 
     @classmethod
+    def _sorted(cls, domain: tuple[int, ...], labels: tuple[int, ...]) -> "PartialLabeling":
+        """A labeling built by this package from its own arrays: tuples of
+        Python ints, the domain strictly ascending.  Skips the checks that
+        the constructor makes on outside input."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "domain", domain)
+        object.__setattr__(x, "labels", labels)
+        return x
+
+    @classmethod
     def from_mapping(cls, assignment: Mapping[int, int]) -> "PartialLabeling":
         items = sorted(assignment.items())
         return cls(tuple(v for v, _ in items), tuple(l for _, l in items))
@@ -407,7 +417,7 @@ class PartialLabeling:
     def restrict(self, nodes: Iterable[int]) -> "PartialLabeling":
         keep = set(nodes)
         pairs = [(v, l) for v, l in zip(self.domain, self.labels) if v in keep]
-        return PartialLabeling(tuple(v for v, _ in pairs), tuple(l for _, l in pairs))
+        return PartialLabeling._sorted(tuple(v for v, _ in pairs), tuple(l for _, l in pairs))
 
     def __len__(self) -> int:
         return len(self.domain)

@@ -238,9 +238,8 @@ def prune(
     while 0 < len(domain) < size:
         size = len(domain)
         test = labels[domain]
-        aug = build_augmented_model(
-            work, domain, PartialLabeling(tuple(domain.tolist()), tuple(test.tolist())), mode="original"
-        )
+        y = PartialLabeling._sorted(tuple(domain.tolist()), tuple(test.tolist()))
+        aug = build_augmented_model(work, domain, y, mode="original")
         # A cold solve is a function of its model alone, so one of the model
         # just solved would return ``out`` again.  Over the same LP rows, only
         # the objective changed, and the simplex resumes from its last tableau.
@@ -297,7 +296,7 @@ def prune(
         )
     return PersistencyResult(
         a_star=tuple(domain.tolist()),
-        x_star=PartialLabeling(tuple(domain.tolist()), tuple(labels[domain].tolist())),
+        x_star=PartialLabeling._sorted(tuple(domain.tolist()), tuple(labels[domain].tolist())),
         trace=tuple(trace), mode=mode, solver=solver, notes=tuple(notes),
     )
 
@@ -328,7 +327,7 @@ def check_criterion(
         return CriterionVerdict(holds=True, optimum=0.0, reference=0.0, certificate="vacuous")
 
     aug = build_augmented_model(model, np.flatnonzero(inside), x0, mode=mode)
-    test = PartialLabeling(aug.nodes, tuple(labels[inside].tolist()))
+    test = PartialLabeling._sorted(aug.nodes, tuple(labels[inside].tolist()))
     reference = energy(aug.model, test.labels)
     out = _solve(aug.model, solver, None, cap)
     holds = _not_above(reference, out.objective_bound)

@@ -210,33 +210,31 @@ def solve_lp_exact(
 # -- sequential dual block-coordinate ascent --------------------------------
 
 
-def _rows(keys: np.ndarray, values: np.ndarray, num_rows: int, fill: int) -> np.ndarray:
-    """CSR lists as an int matrix: row r holds, in order, the values whose
-    key is r (``keys`` ascending), padded at the tail with ``fill``."""
-    counts = np.bincount(keys, minlength=num_rows)
-    out = np.full((num_rows, int(counts.max(initial=0))), fill, dtype=np.int64)
-    out[keys, np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys]] = values
+def _rows(first: np.ndarray, keys: np.ndarray, values: np.ndarray, fill: int) -> np.ndarray:
+    """CSR lists as an int matrix with one column per list: column r holds
+    ``first[r]``, then, in order, the values whose key is r (``keys``
+    ascending), padded at the tail with ``fill``."""
+    counts = np.bincount(keys, minlength=len(first))
+    out = np.full((1 + int(counts.max(initial=0)), len(first)), fill, dtype=np.int64)
+    out[0] = first
+    out[1 + np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys], keys] = values
     return out
 
 
-def _cut(level: np.ndarray, num: int) -> tuple[list[slice], np.ndarray]:
-    """For an array sorted by ``level`` (0..num-1): each level's slice of
-    it, and each level's start."""
-    counts = np.bincount(level, minlength=num)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())], starts
+def _cut(level: np.ndarray, num: int) -> list[slice]:
+    """For an array sorted by ``level`` (0..num-1): each level's slice of it."""
+    ends = np.cumsum(np.bincount(level, minlength=num)).tolist()
+    return [slice(a, b) for a, b in zip([0] + ends, ends)]
 
 
-def _add_rows(first: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``first + rows[index[:, 0]] + rows[index[:, 1]] + …``, added left to
-    right, as one gather and one reduction: ``np.add.reduce`` over the
-    leading axis adds its rows in order."""
-    if not index.shape[1]:
-        return first
-    terms = rows[index.T]
-    terms[0] += first
-    return np.add.reduce(terms, axis=0)
+def _add_rows(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[index[0]] + rows[index[1]] + …``, added first to last, as one
+    gather and one reduction: ``np.add.reduce`` over the leading axis adds
+    its rows in order, starting from +0.0.  A single row is returned as
+    gathered, so that a -0.0 in it stays -0.0."""
+    if len(index) == 1:
+        return rows[index[0]]
+    return np.add.reduce(rows[index], axis=0)
 
 
 class _TrwsRun:
@@ -250,28 +248,41 @@ class _TrwsRun:
     constants, which together with the per-node terms for chains starting at
     v telescope into a valid lower bound on the optimum for any state.
 
-    The state lives in arrays, with labels padded to the largest label count
-    k, copied straight from the model's factor groups.  ``tables`` stacks the
-    edge tables as (E, k, k), oriented (u, v) for each edge u < v of
-    ``model.edges()``, and ``unary`` is (n, k); both hold +inf on padded
-    labels.  ``msg`` has one row per directed message: row e
-    carries u->v over v's labels, row E + e carries v->u over u's labels, and
-    the last row is -0.0, which adds exactly nothing and pads ``incoming``,
-    each node's incoming message rows in ascending neighbor order.  Padded
-    message entries stay 0, so aggregates are +inf there and mins skip them.
-    A node's aggregate is its unary plus its incoming rows, added in order
-    by one gather and one reduction (``_add_rows``).
-
     A node's forward level is 1 + the highest forward level among its
     earlier neighbors (0 without any); its backward level mirrors that over
     later neighbors.  Nodes on one level share no edge and read only messages
     written on lower levels or by the other sweep, so each level is one
-    batched update that computes, for every node, the same floats in the
-    same order as the node-by-node sweep.  Each kind of level (forward
-    senders, backward receivers, rounding nodes) sorts its nodes and edges
-    by level once, gathers their constants once in that order, and holds
-    each level as views of those arrays.  A level whose receivers pad no
-    label holds None for their labels and writes its messages unmasked.
+    batched update that computes, for every edge, the same floats in the
+    same order as the node-by-node sweep.
+
+    The state lives in arrays, with labels padded to the largest label
+    count k; unaries and tables hold +inf on padded labels.  ``msg`` has
+    one row per directed message, then a -0.0 row, which adds exactly
+    nothing, then each node's unary.  ``fwd`` (its first E rows) holds the
+    u->v messages over v's labels, sorted by the sender's forward level;
+    ``bwd`` (the next E) the v->u messages over u's labels, sorted by the
+    receiver's backward level.  So each level writes its messages into one
+    contiguous slice, through ``out=``.  ``fwd_row[e]`` and ``bwd_row[e]``
+    are the rows of edge e of ``model.edges()``; ``state()`` and
+    ``resume()`` translate to and from that order.  ``incoming`` (one
+    column per node) lists the node's unary row, then its incoming message
+    rows in ascending neighbor order, padded with the -0.0 row; a node's
+    aggregate is their sum, added in order by one gather and one reduction
+    (``_add_rows``).  Padded message entries stay 0, so aggregates are
+    +inf there and mins skip them.
+
+    The tables are stored label-major, one copy per sweep in that sweep's
+    row order, so that every min over labels reduces the leading axes of a
+    (labels, ..., edges) array: one elementwise pass per label, where a min
+    over a short trailing axis runs one inner loop per row.
+    ``forward_tables[a, b, r]`` is the table of forward row r's edge at
+    (u = a, v = b), and ``backward_tables[b, a, r]`` that of backward row r.
+    The rounding reads the forward layout and the pair min-marginals the
+    backward one.  The bound's terms are written in level order, each
+    level's message minima into one slice, and gathered into node-by-node
+    order once per pass (``bound_order``).  Each level holds views of arrays
+    gathered once per kind in level order; a level whose receivers pad no
+    label holds None for their padded entries.
     """
 
     def __init__(self, model: GraphicalModel):
@@ -280,32 +291,27 @@ class _TrwsRun:
         n = model.num_nodes
         counts = np.array(model.label_counts, dtype=np.int64)
         k = int(counts.max(initial=1))
-        num_edges = sum(len(g.scopes) for g in model.groups if g.arity == 2)
+        edge_groups = model.edge_groups()
+        num_edges = sum(len(g.scopes) for g, _ in edge_groups)
+        self.eu = eu = np.empty(num_edges, dtype=np.int64)
+        self.ev = ev = np.empty(num_edges, dtype=np.int64)
+        for g, e in edge_groups:
+            eu[e], ev[e] = g.scopes.T
         self.valid = np.arange(k) < counts[:, None]
-        self.unary = np.where(self.valid, 0.0, np.inf)
-        self.eu = np.empty(num_edges, dtype=np.int64)
-        self.ev = np.empty(num_edges, dtype=np.int64)
-        self.tables = np.full((num_edges, k, k), np.inf)
+        pad_row = 2 * num_edges
+        self.msg = np.zeros((pad_row + 1 + n, k))
+        self.msg[pad_row] = -0.0
+        self.fwd = self.msg[:num_edges]
+        self.bwd = self.msg[num_edges:pad_row]
+        unary = self.msg[pad_row + 1 :]
+        unary[~self.valid] = np.inf
         constants: list[float] = []
         for g in model.groups:
             if g.arity == 0:
                 constants = g.tables.tolist()
             elif g.arity == 1:
-                self.unary[g.scopes[:, 0], : g.tables.shape[1]] = g.tables
-        for g, e in model.edge_groups():
-            self.eu[e], self.ev[e] = g.scopes.T
-            self.tables[e, : g.tables.shape[1], : g.tables.shape[2]] = g.tables
-        eu, ev = self.eu, self.ev
-        self.msg = np.zeros((2 * num_edges + 1, k))
-        self.msg[-1] = -0.0
-        self.fwd = self.msg[:num_edges]
-        self.bwd = self.msg[num_edges : 2 * num_edges]
+                unary[g.scopes[:, 0], : g.tables.shape[1]] = g.tables
 
-        # Incoming rows per node: the messages from earlier neighbors (edge
-        # order), then those from later ones.  Edges are sorted by (u, v).
-        receiver = np.concatenate((ev, eu))
-        order = np.argsort(receiver, kind="stable")
-        self.incoming = _rows(receiver[order], order, n, 2 * num_edges)
         num_earlier = np.bincount(ev, minlength=n)
         num_later = np.bincount(eu, minlength=n)
         self.degree = num_earlier + num_later
@@ -328,143 +334,187 @@ class _TrwsRun:
         num_forward = int(forward_level.max(initial=-1)) + 1
         num_backward = int(backward_level.max(initial=-1)) + 1
 
-        # Forward: a level's senders, each with its edges to later neighbors
-        # in edge order, which sorts them by sender.
-        edges = np.argsort(forward_level[eu], kind="stable")
-        sender = eu[edges]
-        first = np.ones(num_edges, dtype=bool)
-        first[1:] = sender[1:] != sender[:-1]
-        batches, _, _ = self._batches(forward_level, num_forward, sender[first], edges, eu, self.tables, ev)
-        self.forward_levels = [batch for batch in batches if len(batch[3])]
+        # Message rows in sweep order: forward by sender level, then edge
+        # (which sorts them by sender); backward by receiver level, then
+        # receiver, then edge.
+        self.fwd_edges = np.argsort(forward_level[eu], kind="stable")
+        self.bwd_edges = by_receiver[np.argsort(backward_level[ev[by_receiver]], kind="stable")]
+        self.fwd_row = np.empty(num_edges, dtype=np.int64)
+        self.fwd_row[self.fwd_edges] = np.arange(num_edges)
+        self.bwd_row = np.empty(num_edges, dtype=np.int64)
+        self.bwd_row[self.bwd_edges] = np.arange(num_edges)
+        tables = np.full((num_edges, k, k), np.inf)
+        for g, e in edge_groups:
+            tables[e, : g.tables.shape[1], : g.tables.shape[2]] = g.tables
+        tables = np.ascontiguousarray(tables.reshape(num_edges, k * k).T).reshape(k, k, num_edges)
+        self.forward_tables = np.take(tables, self.fwd_edges, axis=2)
+        self.backward_tables = np.take(tables.transpose(1, 0, 2), self.bwd_edges, axis=2)
 
-        # The bound's terms in node-by-node order: v from last to first, the
-        # term of the chains starting at v, then one constant per earlier
-        # neighbor.  Slot 0 holds the constant factors, which no sweep
-        # writes (0.0 without any).
+        # Incoming rows per node: its unary, the messages from earlier
+        # neighbors (edge order), then those from later ones.  Edges are
+        # sorted by (u, v).
+        receiver = np.concatenate((ev, eu))
+        order = np.argsort(receiver, kind="stable")
+        rows = np.concatenate((self.fwd_row, num_edges + self.bwd_row))[order]
+        self.incoming = _rows(pad_row + 1 + np.arange(n), receiver[order], rows, pad_row)
+
+        # Forward: a level's edges, each with its sender's aggregate rows and
+        # the ``msg`` row of the backward message across it.
+        fwd_pad = ~self.valid[ev[self.fwd_edges]]
+        self.bwd_of_fwd = num_edges + self.bwd_row[self.fwd_edges]
+        cuts, widths, padded, incoming, weights = self._levels(
+            forward_level, num_forward, self.fwd_edges, eu, fwd_pad
+        )
+        self.forward_levels = [
+            (incoming[: w + 1, b], weights[b], self.bwd_of_fwd[b], self.forward_tables[:, :, b],
+             self.fwd[b].T, fwd_pad[b].T if p else None)
+            for b, w, p in zip(cuts, widths, padded)
+            if b.stop > b.start
+        ]
+
+        # Backward: a level's edges, each with its receiver's aggregate rows
+        # and the row of the forward message across it.  The messages'
+        # constants are the bound's edge terms, in this order.
         has_start = weight > num_earlier
+        starts = np.flatnonzero(has_start)
+        self.terms = np.zeros(1 + len(starts) + num_edges)
+        self.terms[0] = sum(constants)
+        self.chain_terms = self.terms[1 : 1 + len(starts)]
+        deltas = self.terms[1 + len(starts) :]
+        bwd_pad = ~self.valid[eu[self.bwd_edges]]
+        self.fwd_of_bwd = self.fwd_row[self.bwd_edges]
+        cuts, widths, padded, incoming, weights = self._levels(
+            backward_level, num_backward, self.bwd_edges, ev, bwd_pad
+        )
+        self.backward_levels = [
+            (incoming[: w + 1, b], weights[b], self.fwd_of_bwd[b], self.backward_tables[:, :, b],
+             self.bwd[b].T, deltas[b], bwd_pad[b].T if p else None)
+            for b, w, p in zip(cuts, widths, padded)
+            if b.stop > b.start
+        ]
+
+        # The chains starting at v add n_v - #earlier neighbors times the
+        # minimum of v's aggregate / n_v.  No message into v changes after
+        # v's backward level, so these terms are read at the sweep's end.
+        self.start_incoming = self.incoming[:, starts]
+        self.start_weight = self.weight[starts]
+        self.chains = (weight - num_earlier)[starts].astype(np.float64)
+
+        # The bound adds its terms in node-by-node order: v from last to
+        # first, the term of the chains starting at v, then one constant per
+        # earlier neighbor.  ``bound_order`` lists their positions in
+        # ``terms``; position 0 holds the constant factors (0.0 without any).
         slots = has_start + num_earlier
         first_slot = 1 + slots.sum() - np.cumsum(slots)  # a chain start takes the first
         edge_rank = np.arange(num_edges) - (np.cumsum(num_earlier) - num_earlier)[ev[by_receiver]]
-        edge_slot = np.empty(num_edges, dtype=np.int64)
-        edge_slot[by_receiver] = (first_slot + has_start)[ev[by_receiver]] + edge_rank
-        self.terms = np.zeros(1 + int(slots.sum()))
-        self.terms[0] = sum(constants)
-
-        # Backward: every node of a level, each with its edges from earlier
-        # neighbors, by receiver, then edge.
-        nodes = np.argsort(backward_level, kind="stable")
-        edges = by_receiver[np.argsort(backward_level[ev[by_receiver]], kind="stable")]
-        batches, edge_cuts, local = self._batches(
-            backward_level, num_backward, nodes, edges, ev, self.tables.transpose(0, 2, 1), eu
+        self.bound_order = np.zeros(len(self.terms), dtype=np.int64)
+        self.bound_order[first_slot[starts]] = 1 + np.arange(len(starts))
+        self.bound_order[(first_slot + has_start)[ev[by_receiver]] + edge_rank] = (
+            1 + len(starts) + self.bwd_row[by_receiver]
         )
-        starts = np.flatnonzero(has_start[nodes])
-        start_cuts, _ = _cut(backward_level[nodes[starts]], num_backward)
-        chains = (weight - num_earlier)[nodes[starts]].astype(np.float64)
-        start_slots = first_slot[nodes[starts]]
-        starts = local[starts]
-        edge_slots = edge_slot[edges]
-        self.backward_levels = [
-            (batch, starts[s], chains[s], start_slots[s], edge_slots[e])
-            for batch, s, e in zip(batches, start_cuts, edge_cuts)
-        ]
+
+        # The pair min-marginals read the edges in backward row order.
+        self.pair_u, self.pair_v = eu[self.bwd_edges], ev[self.bwd_edges]
+        self.pair_weight_u, self.pair_weight_v = self.weight[self.pair_u], self.weight[self.pair_v]
 
         # Rounding: every node of a forward level, with its edges ordered as
         # the backward ones.  It keeps its labels in level order, so that a
         # level's nodes are a slice and its edges' senders are positions on
-        # lower levels; ``rows`` lists each node's edges, padded with E.
+        # lower levels.  Its residual rows are its edges, the -0.0 row and
+        # the unaries in level order; ``rows`` lists each node's unary, then
+        # its edges, padded.
         nodes = np.argsort(forward_level, kind="stable")
         edges = by_receiver[np.argsort(forward_level[ev[by_receiver]], kind="stable")]
         rank = np.empty(n, dtype=np.int64)
         rank[nodes] = np.arange(n)
         node_level = forward_level[nodes]
-        rows = _rows(rank[ev[edges]], np.arange(num_edges), n, num_edges)
+        rows = _rows(
+            num_edges + 1 + np.arange(n), rank[ev[edges]], np.arange(num_edges), num_edges
+        )
         width = np.zeros(num_forward, dtype=np.int64)
         np.maximum.at(width, node_level, num_earlier[nodes])
-        node_cuts, _ = _cut(node_level, num_forward)
-        edge_cuts, _ = _cut(forward_level[ev[edges]], num_forward)
+        node_cuts = _cut(node_level, num_forward)
+        edge_cuts = _cut(forward_level[ev[edges]], num_forward)
         senders = rank[eu[edges]]
+        fwd_rows = self.fwd_row[edges]
         self.rounding_order = nodes
         self.rounding_levels = [
-            (a, b, edges[b], senders[b], rows[a, :w])
+            (a, b, senders[b], fwd_rows[b], rows[: w + 1, a])
             for a, b, w in zip(node_cuts, edge_cuts, width.tolist())
         ]
 
-    def _batches(self, level, num, nodes, edges, owner, tables, receivers):
-        """Each level's gathered constants, as views of arrays gathered once
-        in level order: the level's nodes' unaries, incoming rows (as wide as
-        the level's largest degree) and weights; its edges, each edge's
-        owner's position among the level's nodes, the edges' tables
-        oriented owner first, and the receivers' labels (None where the
-        level pads none).  ``nodes`` and ``edges`` are sorted by level,
-        ``owner[edges]`` being each edge's node.  Also returns each level's
-        slice of ``edges`` and each node's position within its level."""
-        node_level, edge_level = level[nodes], level[owner[edges]]
-        node_cuts, node_starts = _cut(node_level, num)
-        edge_cuts, _ = _cut(edge_level, num)
-        local = np.arange(len(nodes)) - node_starts[node_level]
-        rank = np.empty(len(level), dtype=np.int64)
-        rank[nodes] = np.arange(len(nodes))
+    def _levels(self, level, num, edges, owner, pad):
+        """For ``edges`` sorted by the ``level`` of their owners
+        ``owner[edges]``: each level's slice of them, its owners' largest
+        degree, and whether ``pad`` (one row per edge) marks any of its
+        entries; and, one per edge, its owner's incoming rows and weight."""
+        edge_level = level[owner[edges]]
+        cuts = _cut(edge_level, num)
         width = np.zeros(num, dtype=np.int64)
-        np.maximum.at(width, node_level, self.degree[nodes])
-        labels = self.valid[receivers[edges]]
-        padded = np.bincount(edge_level, ~labels.all(axis=1), minlength=num) > 0
-        unary, incoming, weight = self.unary[nodes], self.incoming[nodes], self.weight[nodes]
-        pos, tables = local[rank[owner[edges]]], np.ascontiguousarray(tables[edges])
-        batches = [
-            (unary[a], incoming[a, :w], weight[a], edges[b], pos[b], tables[b], labels[b] if p else None)
-            for a, b, w, p in zip(node_cuts, edge_cuts, width.tolist(), padded.tolist())
-        ]
-        return batches, edge_cuts, local
+        np.maximum.at(width, edge_level, self.degree[owner[edges]])
+        padded = np.bincount(edge_level[pad.any(axis=1)], minlength=num) > 0
+        return (
+            cuts, width.tolist(), padded.tolist(),
+            self.incoming[:, owner[edges]], self.weight[owner[edges]],
+        )
 
     def resume(self, state: Reparametrization) -> None:
         """Start from the messages that ``state`` defines (see ``state()``)
         instead of from zero."""
-        self.fwd[:] = np.where(self.valid[self.ev], -state.forward, 0.0)
-        self.bwd[:] = np.where(self.valid[self.eu], -state.backward, 0.0)
+        f, b = self.fwd_edges, self.bwd_edges
+        self.fwd[:] = np.where(self.valid[self.ev[f]], -state.forward[f], 0.0)
+        self.bwd[:] = np.where(self.valid[self.eu[b]], -state.backward[b], 0.0)
 
     def state(self) -> Reparametrization:
-        """The messages as the reparametrization they define: a message
-        adds to its receiver's unary and leaves the edge table, which is a
-        Reparametrization's shift with the opposite sign."""
-        return Reparametrization(-self.fwd, -self.bwd)
+        """The messages as the reparametrization they define, in the order
+        of ``model.edges()``: a message adds to its receiver's unary and
+        leaves the edge table, which is a Reparametrization's shift with
+        the opposite sign."""
+        return Reparametrization(-self.fwd[self.fwd_row], -self.bwd[self.bwd_row])
 
     def aggregates(self) -> np.ndarray:
         """Every node's unary plus its incoming messages, as (n, k)."""
-        return _add_rows(self.unary, self.msg, self.incoming)
+        return _add_rows(self.msg, self.incoming)
 
     def forward_sweep(self) -> None:
-        for unary, incoming, weight, edges, pos, tables, receiver_labels in self.forward_levels:
-            d = _add_rows(unary, self.msg, incoming) / weight
-            t = d[pos] - self.bwd[edges]
-            new = (t[:, :, None] + tables).min(axis=1)
-            self.fwd[edges] = new if receiver_labels is None else np.where(receiver_labels, new, 0.0)
+        msg = self.msg
+        for incoming, weight, bwd_rows, tables, out, pad in self.forward_levels:
+            t = _add_rows(msg, incoming) / weight
+            t -= msg[bwd_rows]
+            np.minimum.reduce(t.T[:, None, :] + tables, axis=0, out=out)
+            if pad is not None:
+                out[pad] = 0.0
 
     def backward_sweep(self) -> float:
         """Update messages to earlier neighbors; returns the dual bound."""
-        terms = self.terms
-        for level, starts, chains, start_slots, edge_slots in self.backward_levels:
-            unary, incoming, weight, edges, pos, tables, receiver_labels = level
-            d = _add_rows(unary, self.msg, incoming) / weight
-            terms[start_slots] = chains * d[starts].min(axis=1)
-            t = d[pos] - self.fwd[edges]
-            new = (t[:, :, None] + tables).min(axis=1)
-            delta = new.min(axis=1)
-            new -= delta[:, None]
-            self.bwd[edges] = new if receiver_labels is None else np.where(receiver_labels, new, 0.0)
-            terms[edge_slots] = delta
-        return float(np.cumsum(terms)[-1])
+        msg = self.msg
+        for incoming, weight, fwd_rows, tables, out, deltas, pad in self.backward_levels:
+            t = _add_rows(msg, incoming) / weight
+            t -= msg[fwd_rows]
+            new = np.minimum.reduce(t.T[:, None, :] + tables, axis=0)
+            np.minimum.reduce(new, axis=0, out=deltas)
+            np.subtract(new, deltas, out=out)
+            if pad is not None:
+                out[pad] = 0.0
+        d = _add_rows(msg, self.start_incoming) / self.start_weight
+        np.multiply(self.chains, np.minimum.reduce(d.T, axis=0), out=self.chain_terms)
+        return float(np.cumsum(self.terms[self.bound_order])[-1])
 
     def extract_labeling(self, unaries: np.ndarray) -> np.ndarray:
         """Greedy sequential rounding conditioned on already-fixed neighbors,
         one forward level at a time."""
-        unaries = unaries[self.rounding_order]
-        x = np.empty(len(unaries), dtype=np.int64)  # in level order
-        residual = np.empty((len(self.eu) + 1, unaries.shape[1]))  # in rounding edge order
-        residual[-1] = -0.0
-        for nodes, cut, edges, senders, rows in self.rounding_levels:
-            lu = x[senders]
-            residual[cut] = (self.tables[edges, lu, :] - self.fwd[edges]) - self.bwd[edges, lu][:, None]
-            x[nodes] = _add_rows(unaries[nodes], residual, rows).argmin(axis=1)
+        num_edges, n = len(self.fwd), len(unaries)
+        residual = np.empty((num_edges + 1 + n, unaries.shape[1]))  # in rounding edge order
+        residual[num_edges] = -0.0
+        np.take(unaries, self.rounding_order, axis=0, out=residual[num_edges + 1 :])
+        # Each table minus its forward message, minus its backward message
+        # over u's labels; in forward row order.
+        shifted = self.forward_tables - self.fwd.T
+        shifted -= self.msg[self.bwd_of_fwd].T[:, None, :]
+        x = np.empty(n, dtype=np.int64)  # in level order
+        for nodes, cut, senders, fwd_rows, rows in self.rounding_levels:
+            residual[cut] = shifted[x[senders], :, fwd_rows]
+            x[nodes] = _add_rows(residual, rows).argmin(axis=1)
         labels = np.empty_like(x)
         labels[self.rounding_order] = x
         return labels
@@ -481,27 +531,33 @@ class _TrwsRun:
         t_u(x_u) + theta_uv(x_u,x_v) + t_v(x_v), with t_w = D_w/n_w minus the
         message arriving across this edge.
         """
-        # The runner-up is the minimum left after masking the first argmin;
-        # on a 1-label node only +inf padding is left, so it always commits.
-        nodes = np.arange(unaries.shape[0])
+        # A node's first argmin is unique when no other label lies within
+        # TIE_TOL of the minimum; on a 1-label node only +inf padding is
+        # left, so it always commits.  (Subtracting the minimum keeps the
+        # labels' order, so this is the runner-up's margin.)
+        by_label = np.ascontiguousarray(unaries.T)
+        near = by_label - np.minimum.reduce(by_label, axis=0) <= TIE_TOL
+        ok = np.add.reduce(near, axis=0) == 1
         first = unaries.argmin(axis=1)
-        rest = unaries.copy()
-        rest[nodes, first] = np.inf
-        ok = rest.min(axis=1) - unaries[nodes, first] > TIE_TOL
         cand = np.where(ok, first, -1)
 
-        eu, ev = self.eu, self.ev
-        t_u = unaries[eu] / self.weight[eu] - self.bwd
-        t_v = unaries[ev] / self.weight[ev] - self.fwd
-        m = t_u[:, :, None] + self.tables + t_v[:, None, :]
-        lo = m.min(axis=(1, 2))
+        # m[b, a, r]: the pair min-marginal of backward row r's edge at
+        # (u = a, v = b).
+        eu, ev = self.pair_u, self.pair_v
+        t_u = unaries[eu] / self.pair_weight_u - self.bwd
+        t_v = unaries[ev] / self.pair_weight_v - self.fwd[self.fwd_of_bwd]
+        m = t_u.T + self.backward_tables
+        m += t_v.T[:, None, :]
+        lo = np.minimum.reduce(m, axis=(0, 1))
         high = lo + scaled(PAIR_MARGINAL_SLACK, lo)
         cu, cv = cand[eu], cand[ev]
-        e = np.arange(len(eu))
-        iu, iv = np.maximum(cu, 0), np.maximum(cv, 0)
-        pair_off = m[e, iu, iv] > high
-        ok[eu[(cu >= 0) & np.where(cv >= 0, pair_off, m[e, iu, :].min(axis=1) > high)]] = False
-        ok[ev[(cv >= 0) & np.where(cu >= 0, pair_off, m[e, :, iv].min(axis=1) > high)]] = False
+        e = np.flatnonzero((cu >= 0) & (cv >= 0))  # at the committed pair
+        e = e[m[cv[e], cu[e], e] > high[e]]
+        ok[eu[e]] = ok[ev[e]] = False
+        e = np.flatnonzero((cu >= 0) & (cv < 0))  # in u's label's slice
+        ok[eu[e[np.minimum.reduce(m[:, cu[e], e], axis=0) > high[e]]]] = False
+        e = np.flatnonzero((cu < 0) & (cv >= 0))  # in v's label's slice
+        ok[ev[e[np.minimum.reduce(m.transpose(1, 0, 2)[:, cv[e], e], axis=0) > high[e]]]] = False
         return np.where(ok, first, -1)
 
 

@@ -102,6 +102,29 @@ class TestPrune:
                     assert verify_persistent(m, res.a_star, res.x_star).verdict
         assert narrowed > 0
 
+    def test_internal_labelings_pass_the_public_checks(self, rng):
+        """x*, each augmented model's test labeling and a criterion's
+        witness are built without the constructor's checks.  Each has a
+        strictly ascending domain of ints and equals its rebuild through
+        the constructor."""
+        def checked(x):
+            assert all(type(i) is int for i in x.domain + x.labels)
+            assert all(a < b for a, b in zip(x.domain, x.domain[1:]))
+            return PartialLabeling(x.domain, x.labels) == x
+
+        tests = []
+        for _ in range(8):
+            m = random_pairwise(rng, n_lo=4, n_hi=7)
+            for solver in ("trws", "exact-lp"):
+                for mode in ("original", "optimal"):
+                    res = prune(m, solver=solver, mode=mode,
+                                subproblem_hook=lambda aug, out: tests.append(aug.test_labeling))
+                    assert checked(res.x_star)
+                    if res.a_star:
+                        verdict = check_criterion(m, res.a_star, res.x_star, solver=solver)
+                        assert checked(verdict.witness_labeling)
+        assert tests and all(checked(y) for y in tests)
+
     def test_iteration_bound(self, rng):
         for _ in range(60):
             m = random_pairwise(rng, n_lo=2, n_hi=8, mixed_labels=True)

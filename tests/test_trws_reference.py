@@ -3,9 +3,12 @@
 ``NodeByNode`` runs the schedule that ``_TrwsRun`` batches, in plain
 Python and NumPy, one node at a time in id order (the backward sweep in
 reverse id order), and adds every sum one term at a time.  After each of
-three passes the messages, the bound, the aggregates and the greedy
-rounding must match bit for bit.  This also pins that ``np.add.reduce``
-over a leading axis adds its rows in order, which ``_add_rows`` relies on.
+three passes the messages (in ``model.edges()`` order, through
+``state()``), the bound, the aggregates, the greedy rounding and the
+strong-agreement commitments must match bit for bit.  This also pins that
+``np.add.reduce`` over a leading axis adds its rows in order, which
+``_add_rows`` relies on, and, on a model whose minima tie between -0.0 and
++0.0, which of the two zeros every min over labels keeps.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 from mapprune import Factor, GraphicalModel, InstanceSpec, Reparametrization, generate
 from mapprune.solvers import _TrwsRun
+from mapprune.tolerance import PAIR_MARGINAL_SLACK, TIE_TOL, scaled
 
 
 class NodeByNode:
@@ -90,6 +94,32 @@ class NodeByNode:
             x[v] = score.argmin()
         return x
 
+    def commitments(self, unaries: np.ndarray) -> np.ndarray:
+        """The strong-agreement rule: a node's first argmin, if every other
+        label lies more than TIE_TOL above it, and if each incident edge's
+        pair min-marginal (t_u + table + t_v, t_w = D_w / n_w minus the
+        message across the edge) comes within PAIR_MARGINAL_SLACK of its
+        minimum at the committed pair, or, against a neighbor that does not
+        commit, somewhere in the committed label's row or column."""
+        first = [int(u.argmin()) for u in unaries]
+        ok = [
+            min((u[a] for a in range(len(u)) if a != f), default=np.inf) - u[f] > TIE_TOL
+            for u, f in zip(unaries, first)
+        ]
+        cand = [f if o else -1 for f, o in zip(first, ok)]
+        for e, (u, v) in enumerate(self.edges):
+            t_u = unaries[u] / self.weight[u] - self.bwd[e]
+            t_v = unaries[v] / self.weight[v] - self.fwd[e]
+            m = (t_u[:, None] + self.tables[e]) + t_v[None, :]
+            lo = m.min()
+            high = lo + scaled(PAIR_MARGINAL_SLACK, lo)
+            cu, cv = cand[u], cand[v]
+            if cu >= 0 and (m[cu, cv] if cv >= 0 else m[cu, :].min()) > high:
+                ok[u] = False
+            if cv >= 0 and (m[cu, cv] if cu >= 0 else m[:, cv].min()) > high:
+                ok[v] = False
+        return np.array([f if o else -1 for f, o in zip(first, ok)], dtype=np.int64)
+
 
 def potts_5x5() -> GraphicalModel:
     return generate(InstanceSpec(
@@ -111,6 +141,24 @@ def random_mixed() -> GraphicalModel:
     return GraphicalModel(counts, factors)
 
 
+def signed_zeros() -> GraphicalModel:
+    """A 3x4 grid, 3 labels, whose tables hold only -0.0 and +0.0 and whose
+    unaries hold -0.0, +0.0 and the smallest subnormals +-5e-324.  Halved
+    by a node's weight of 2, -5e-324 rounds to -0.0, so a message's
+    minimum over labels ties between -0.0 and +0.0, and which zero a min
+    keeps shows in the message bytes (seed 9 gives both signs in both
+    sweeps)."""
+    rng = np.random.default_rng(9)
+    h, w, k = 3, 4, 3
+    edges = [(r * w + c, r * w + c + 1) for r in range(h) for c in range(w - 1)]
+    edges += [(r * w + c, (r + 1) * w + c) for r in range(h - 1) for c in range(w)]
+    tiny = np.nextafter(0.0, 1.0)
+    unaries = np.array([-0.0, 0.0, -tiny, tiny])
+    factors = [Factor((v,), rng.choice(unaries, k)) for v in range(h * w)]
+    factors += [Factor(e, rng.choice(np.array([-0.0, 0.0]), (k, k))) for e in sorted(edges)]
+    return GraphicalModel((k,) * (h * w), factors)
+
+
 def no_edges() -> GraphicalModel:
     rng = np.random.default_rng(12)
     counts = (2, 3, 1, 4)
@@ -123,7 +171,7 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
-@pytest.mark.parametrize("build", [potts_5x5, random_mixed, no_edges])
+@pytest.mark.parametrize("build", [potts_5x5, random_mixed, no_edges, signed_zeros])
 def test_batched_run_matches_node_by_node(build, warm):
     model = build()
     start = None
@@ -138,13 +186,19 @@ def test_batched_run_matches_node_by_node(build, warm):
     for _ in range(3):
         run.forward_sweep()
         ref.forward_sweep()
-        assert _same(run.fwd, ref.fwd)
+        assert _same(run.state().forward, -ref.fwd)
         bound = run.backward_sweep()
         assert _same(bound, ref.backward_sweep())
-        assert _same(run.bwd, ref.bwd)
+        assert _same(run.state().backward, -ref.bwd)
         unaries = run.aggregates()
         assert _same(unaries, np.array([ref.aggregate(v) for v in range(model.num_nodes)]).reshape(unaries.shape))
         assert _same(run.extract_labeling(unaries), ref.extract_labeling(unaries))
+        assert _same(run.commitments(unaries), ref.commitments(unaries))
+        # Every other node with its two lowest labels tied does not commit,
+        # so its edges are checked against a whole row or column.
+        tied = unaries.copy()
+        tied[::2, :2] = tied[::2].min(axis=1, keepdims=True)
+        assert _same(run.commitments(tied), ref.commitments(tied))
 
 
 def test_reference_models_cover_the_edge_cases():
@@ -152,3 +206,10 @@ def test_reference_models_cover_the_edge_cases():
     assert 1 in m.label_counts and len(set(m.label_counts)) > 2
     assert m.neighbors(6) == [] and m.neighbors(3)
     assert no_edges().edges() == []
+    run = _TrwsRun(signed_zeros())
+    for _ in range(3):
+        run.forward_sweep()
+        run.backward_sweep()
+        for messages in (run.state().forward, run.state().backward):
+            zero = messages == 0.0
+            assert (zero & np.signbit(messages)).any() and (zero & ~np.signbit(messages)).any()
