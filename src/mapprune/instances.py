@@ -6,12 +6,13 @@ bit-identical model (all draws happen in a fixed documented order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import Factor, GraphicalModel
+from .model import Factor, GraphicalModel, _integers
 
 KINDS = ("potts-grid", "random-pairwise", "random-hyper", "frustrated-cycle")
 
@@ -45,6 +46,10 @@ class InstanceSpec:
                 raise DomainError("potts-grid needs positive height and width")
         elif self.num_nodes < 1:
             raise DomainError(f"{self.kind} needs a positive node count")
+        if self.kind == "random-hyper":
+            most = math.comb(self.num_nodes, 3)  # distinct ternary scopes
+            if _integers((self.hyper_count,)) is None or not 0 <= self.hyper_count <= most:
+                raise DomainError(f"hyper_count must be an integer in [0, {most}], got {self.hyper_count!r}")
         lo, hi = self.coupling
         if hi < lo:
             raise DomainError("coupling range is inverted")
@@ -120,15 +125,15 @@ def _random_hyper(spec: InstanceSpec, rng: np.random.Generator) -> GraphicalMode
         raise DomainError("random-hyper needs at least 3 nodes")
     base = _random_pairwise(spec, rng)
     k = spec.labels
-    factors = list(base.factors)
-    chosen: set[tuple[int, ...]] = set()
-    while len(chosen) < spec.hyper_count:
+    tables: dict[tuple[int, ...], np.ndarray] = {}
+    while len(tables) < spec.hyper_count:
         scope = tuple(sorted(rng.choice(spec.num_nodes, size=3, replace=False).tolist()))
-        if scope in chosen:
-            continue
-        chosen.add(scope)
-        factors.append(Factor(scope, _uniform(rng, *spec.coupling, (k, k, k))))
-    return GraphicalModel([k] * spec.num_nodes, factors)
+        if scope not in tables:
+            tables[scope] = _uniform(rng, *spec.coupling, (k, k, k))
+    scopes = np.array(list(tables), dtype=np.int64).reshape(-1, 3)
+    blocks = [(g.scopes, g.tables) for g in base.groups]
+    blocks.append((scopes, np.array(list(tables.values())).reshape(-1, k, k, k)))
+    return GraphicalModel.from_arrays(base.label_counts, blocks)
 
 
 def _frustrated_cycle(spec: InstanceSpec) -> GraphicalModel:

@@ -3,8 +3,8 @@
 A model is a set of nodes with finite label spaces plus factors of arbitrary
 arity holding dense cost tables.  All energies are to be minimized.  Every
 type in this module is immutable after construction and safe to share across
-threads; a model's ``factors`` tuple may be built on first read, and two
-threads reading it first at once may each build an equal one.
+threads; a model's ``factors``, scope index and tied mask (``solvers._tied``)
+are built on first use, and two threads at once may each build an equal one.
 
 The model stores its factors only as stacked groups (``FactorGroup``), and
 every operation here works on those arrays: energies are one gather per
@@ -196,7 +196,8 @@ class GraphicalModel:
     (arity, scope) order, made on first read.
     """
 
-    __slots__ = ("num_nodes", "label_counts", "groups", "num_factors", "_factors", "_index_of_scope")
+    __slots__ = ("num_nodes", "label_counts", "groups", "num_factors",
+                 "_factors", "_index_of_scope", "_tied")
 
     def __init__(self, label_counts: Sequence[int], factors: Iterable[Factor] = ()):
         # Stacked per table shape, the factors take the same path as arrays;
@@ -237,6 +238,7 @@ class GraphicalModel:
         self.label_counts = counts
         self._factors = None
         self._index_of_scope = None
+        self._tied = None  # (minimum, tied mask), kept by solvers._tied
         # With one label count everywhere, every in-range scope fits a table
         # of that count on each axis: only other shapes need the row check.
         uniform = (counts[0],) if counts and counts.count(counts[0]) == n else ()

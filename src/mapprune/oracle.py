@@ -1,10 +1,10 @@
 """Brute-force ground truth for persistency and improving-mapping claims.
 
-Everything here reads the energy of every joint labeling, computed once per
-call as one array with an axis per node, so it only runs on desk scale
-instances (up to ENUMERATION_CAP labelings, 16 MB), and everything a solver
-or the pruning loop claims can be checked against it.  Optima, witnesses
-and counterexamples are found in C order, node 0 most significant.
+Everything here reads the energy of every joint labeling (the persistency
+verdicts its tied mask, kept on the model by ``solvers._tied``), so it only
+runs on desk scale instances (up to ENUMERATION_CAP labelings, 16 MB), and
+everything a solver or the pruning loop claims can be checked against it.
+Optima, witnesses and counterexamples are found in C order, node 0 first.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def verify_persistent(
     """Does some global optimum agree with x on the subset?"""
     inside = _subset_mask(model, nodes)
     claimed = _clamped(inside, _label_array(model, x, inside))
-    tied = _tied(_energy_table(model, cap))
+    _, tied = _tied(model, cap)
     holds = bool(tied[claimed].any())
     witness = None if holds else _labeling(tied.shape, np.argmax(tied))
     return OracleReport("persistent", holds, witness, int(np.count_nonzero(tied)))
@@ -69,7 +69,7 @@ def verify_strongly_persistent(
     """Does every global optimum agree with x on the subset?"""
     inside = _subset_mask(model, nodes)
     claimed = _clamped(inside, _label_array(model, x, inside))
-    tied = _tied(_energy_table(model, cap))
+    _, tied = _tied(model, cap)
     failing = tied & _outside(tied.shape, claimed)
     witness = _labeling(tied.shape, np.argmax(failing)) if failing.any() else None
     return OracleReport("strongly-persistent", witness is None, witness, int(np.count_nonzero(tied)))

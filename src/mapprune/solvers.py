@@ -5,9 +5,9 @@ fractional node (rendered as "#"), in one read-only int64 array.  The
 contract: whenever an output commits every node, the committed labeling is
 a global optimum of the energy.
 
-The brute-force solver computes the energy of every joint labeling at once,
-as one array with an axis per node (``_energy_table``, at most
-ENUMERATION_CAP entries); the oracle reads its verdicts from the same array.
+The brute-force solver tables every joint labeling's energy as one array
+with an axis per node (``_energy_table``, at most ENUMERATION_CAP entries),
+once per model: the model keeps the tied mask (``_tied``) the oracle reads.
 """
 
 from __future__ import annotations
@@ -133,9 +133,16 @@ def _energy_table(model: GraphicalModel, cap: int) -> np.ndarray:
     return e
 
 
-def _tied(e: np.ndarray) -> np.ndarray:
-    """Which entries of a joint energy array are within TIE_TOL of its minimum."""
-    return within(e, e.min(), TIE_TOL)
+def _tied(model: GraphicalModel, cap: int) -> tuple[float, np.ndarray]:
+    """The minimum energy and the read-only mask of joint labelings within
+    TIE_TOL of it, kept from the model's first enumeration; the cap still holds."""
+    if model._tied is None or model.joint_space_size() > cap:
+        e = _energy_table(model, cap)
+        value = float(e.min())
+        tied = within(e, value, TIE_TOL)
+        tied.setflags(write=False)
+        model._tied = (value, tied)
+    return model._tied
 
 
 def solve_bruteforce(
@@ -148,21 +155,17 @@ def solve_bruteforce(
     ``value``, in lexicographic order, so ``len(optima)`` counts the tied
     optima.  ``x`` is its first row, as a tuple of ints.
     """
-    e = _energy_table(model, cap)
-    rows = np.flatnonzero(_tied(e))
-    if model.num_nodes:
-        optima = np.column_stack(np.unravel_index(rows, e.shape))
-    else:
-        optima = np.zeros((1, 0), dtype=np.int64)  # the one empty labeling
-    return tuple(optima[0].tolist()), float(e.min()), optima
+    value, tied = _tied(model, cap)
+    optima = np.argwhere(tied)  # one empty row for the one empty labeling
+    return tuple(optima[0].tolist()), value, optima
 
 
 def bruteforce_output(model: GraphicalModel, cap: int = ENUMERATION_CAP) -> SolverOutput:
-    """The enumeration oracle wrapped as an integrally correct solver."""
-    x, value, _ = solve_bruteforce(model, cap)
+    """The enumeration oracle as an integrally correct solver: its first optimum, decoded alone."""
+    value, tied = _tied(model, cap)
     return SolverOutput(
-        labels=x, objective_bound=value, certificate="exact-ilp", iterations=1,
-        best_energy=value,
+        labels=np.unravel_index(np.argmax(tied), tied.shape), objective_bound=value,
+        certificate="exact-ilp", iterations=1, best_energy=value,
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mapprune import (
+    DomainError,
     Factor,
     GraphicalModel,
     InstanceSpec,
@@ -19,6 +20,7 @@ from mapprune import (
     __version__,
     write_uai,
 )
+from mapprune import oracle, solvers
 from mapprune.cli import _spec_from_args, _stop_rule, build_parser, main
 from conftest import random_with_ternary
 from test_boundary import _core_models
@@ -165,9 +167,17 @@ class TestGenerate:
             )
 
     def test_random_hyper_has_ternary(self):
-        spec = InstanceSpec(kind="random-hyper", num_nodes=5, labels=2, seed=0, hyper_count=2)
-        m = generate(spec)
-        assert sum(1 for f in m.factors if f.arity == 3) == 2
+        for nodes, count in [(5, 2), (3, 1), (4, 4), (4, 3.0)]:
+            spec = InstanceSpec(kind="random-hyper", num_nodes=nodes, labels=2, seed=0, hyper_count=count)
+            m = generate(spec)
+            assert sum(1 for f in m.factors if f.arity == 3) == count
+
+    @pytest.mark.parametrize("nodes, count", [(3, 2), (4, 5), (5, -1), (5, 1.5), (5, "2"), (2, 1)])
+    def test_random_hyper_count_must_fit(self, nodes, count):
+        """Only C(nodes, 3) distinct ternary scopes exist, so a larger count
+        could never be drawn; the spec refuses it, and any non-integer."""
+        with pytest.raises(DomainError, match="hyper_count"):
+            InstanceSpec(kind="random-hyper", num_nodes=nodes, hyper_count=count)
 
 
 class TestPercentage:
@@ -282,6 +292,22 @@ class TestCli:
         payload = json.loads(report_path.read_text())
         assert payload["verification"]["persistent"] is True
         assert payload["verification"]["num_optima"] == 6
+
+    @pytest.mark.parametrize("mode", ["original", "optimal"])
+    @pytest.mark.parametrize("solver", ["bruteforce", "lp", "trws"])
+    def test_prune_verify_tables_its_input_once(self, tmp_path, capsys, monkeypatch, solver, mode):
+        """The initial brute-force solve and the oracle's verdict read one
+        enumeration of the input model."""
+        from test_persistency import _counted
+
+        model = generate(InstanceSpec(kind="random-pairwise", num_nodes=7, labels=3, seed=3))
+        model_path = tmp_path / "m.uai"
+        model_path.write_text(write_uai(model))
+        tabled = _counted(monkeypatch, solvers, "_energy_table")
+        monkeypatch.setattr(oracle, "_energy_table", solvers._energy_table)  # the oracle's tables count too
+        code = main(["prune", str(model_path), "--solver", solver, "--mode", mode, "--verify"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["verification"]["persistent"]
+        assert sum(m == parse_uai(model_path.read_text()) for m, _ in tabled) == 1
 
     def test_verify_rejects_bad_report(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from mapprune import (
     restricted_energy,
 )
 from conftest import random_pairwise
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mapprune"
 
 
 def chain_model() -> GraphicalModel:
@@ -272,3 +276,18 @@ class TestEnergyDecomposition:
                 + cross
             )
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
+
+
+def test_only_the_model_reads_factor_views():
+    """Models store their factors as stacked groups; outside model.py the
+    package reads those arrays, never the per-factor ``factors`` views.
+    Attribute reads are found in the syntax tree, so comments and
+    docstrings may still name them."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "factors":
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

@@ -10,12 +10,15 @@ from mapprune import (
     PartialLabeling,
     StateSpaceCapError,
     improving_mapping_check,
+    prune,
     solve_bruteforce,
     strong_persistency_scan,
     verify_improving,
     verify_persistent,
     verify_strongly_persistent,
 )
+from mapprune import solvers
+from mapprune.solvers import ENUMERATION_CAP, bruteforce_output
 from conftest import random_pairwise
 
 
@@ -144,6 +147,7 @@ class TestEnumerationCap:
         zeros = PartialLabeling(everything, (0,) * m.num_nodes)
         return [
             lambda: solve_bruteforce(m, cap),
+            lambda: bruteforce_output(m, cap),
             lambda: verify_persistent(m, everything, zeros, cap=cap),
             lambda: verify_strongly_persistent(m, everything, zeros, cap=cap),
             lambda: verify_improving(m, everything, zeros.labels, cap=cap),
@@ -174,3 +178,33 @@ class TestEnumerationCap:
             call()
         x, value, optima = solve_bruteforce(m, 2**10)
         assert x == (0,) * 10 and value == 0.0 and optima.shape == (512, 10)
+
+    def test_cap_holds_after_an_enumeration(self):
+        """A model keeps its first enumeration's tied mask, read-only, and a
+        cap below its joint space still refuses it afterwards."""
+        m = GraphicalModel([2] * 10, [Factor((0,), [0.0, 1.0])])
+        for call in self.calls(m, ENUMERATION_CAP):
+            call()
+        value, tied = solvers._tied(m, ENUMERATION_CAP)
+        assert value == 0.0 and tied.shape == (2,) * 10 and not tied.flags.writeable
+        with pytest.raises(ValueError):
+            tied[0] = False
+        for call in self.calls(m, 2**10 - 1):
+            with pytest.raises(StateSpaceCapError):
+                call()
+
+    @pytest.mark.parametrize(
+        "run", [bruteforce_output, lambda m: prune(m, solver="bruteforce")], ids=["output", "prune"]
+    )
+    def test_first_of_a_million_ties(self, run):
+        """Without factors, all 2^20 labelings tie: brute force holds the
+        8 MB table and a 1 MB mask, and decodes the first optimum alone."""
+        m = GraphicalModel([2] * 20)
+        tracemalloc.start()
+        try:
+            run(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 << 20
+        assert bruteforce_output(m).labels.tolist() == [0] * 20

@@ -17,7 +17,7 @@ from mapprune import (
     strong_persistency_scan,
     verify_persistent,
 )
-from mapprune import persistency, solvers
+from mapprune import oracle, persistency, solvers
 from conftest import random_pairwise, random_with_ternary
 from test_acceptance import hard_constraint_instance
 from test_core_golden import lp_grid
@@ -208,9 +208,13 @@ class TestReusedSolve:
 
     def test_bruteforce_reads_one_energy_table(self, monkeypatch):
         tables = _counted(monkeypatch, solvers, "_energy_table")
-        res = prune(pendant_model(), solver="bruteforce")
+        monkeypatch.setattr(oracle, "_energy_table", solvers._energy_table)  # the oracle's tables count too
+        m = pendant_model()
+        res = prune(m, solver="bruteforce")
         assert len(tables) == 1
         assert len(res.trace) == 2 and res.a_star == (0, 1, 2, 3)
+        assert verify_persistent(m, res.a_star, res.x_star).verdict  # reads the same enumeration
+        assert len(tables) == 1
 
     def test_optimal_mode_solves_the_reparametrized_model(self, monkeypatch):
         simplex = _counted(monkeypatch, solvers, "solve_standard_form")
