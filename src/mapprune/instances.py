@@ -1,7 +1,9 @@
 """Seeded synthetic instance generators.
 
 Every generator is a pure function of its spec: the same seed yields a
-bit-identical model (all draws happen in a fixed documented order).
+bit-identical model (all draws happen in a fixed documented order).  Each
+returns its factors as (scopes, tables) blocks, one per factor kind, and
+``generate`` builds the model from them with ``GraphicalModel.from_arrays``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import Factor, GraphicalModel, _integers
+from .model import GraphicalModel, _integers
 
 KINDS = ("potts-grid", "random-pairwise", "random-hyper", "frustrated-cycle")
+
+_Blocks = list[tuple[np.ndarray, np.ndarray]]  # (scopes, tables) pairs for from_arrays
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,10 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}")
+        for field in ("labels", "height", "width", "num_nodes"):
+            value = getattr(self, field)
+            (count,) = _integers((value,), DomainError(f"{field} must be an integer, got {value!r}"))
+            object.__setattr__(self, field, count)
         if self.labels < 1:
             raise DomainError("label count must be positive")
         if self.kind == "potts-grid":
@@ -74,56 +82,53 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float, shape) -> np.ndarra
 
 def generate(spec: InstanceSpec) -> GraphicalModel:
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "potts-grid":
-        return _potts_grid(spec, rng)
-    if spec.kind == "random-pairwise":
-        return _random_pairwise(spec, rng)
-    if spec.kind == "random-hyper":
-        return _random_hyper(spec, rng)
-    return _frustrated_cycle(spec)
+    build = {
+        "potts-grid": _potts_grid,
+        "random-pairwise": _random_pairwise,
+        "random-hyper": _random_hyper,
+        "frustrated-cycle": _frustrated_cycle,
+    }[spec.kind]
+    n = spec.height * spec.width if spec.kind == "potts-grid" else spec.num_nodes
+    return GraphicalModel.from_arrays([spec.labels] * n, build(spec, rng))
 
 
-def _grid_edges(h: int, w: int) -> list[tuple[int, int]]:
-    edges = []
-    for r in range(h):
-        for c in range(w):
-            v = r * w + c
-            if c + 1 < w:
-                edges.append((v, v + 1))
-            if r + 1 < h:
-                edges.append((v, v + w))
-    return edges
+def _unaries(spec: InstanceSpec, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (scopes, tables) block of one noise-drawn unary per node."""
+    return np.arange(n, dtype=np.int64)[:, None], _uniform(rng, *spec.noise, (n, spec.labels))
 
 
-def _potts_grid(spec: InstanceSpec, rng: np.random.Generator) -> GraphicalModel:
+def _grid_edges(h: int, w: int) -> np.ndarray:
+    """int64 (E, 2): each node's right, then down, edge, so rows ascend."""
+    v = np.arange(h * w, dtype=np.int64)
+    edges = np.stack([v, v + 1, v, v + w], axis=1).reshape(-1, 2)
+    return edges[np.stack([v % w + 1 < w, v + w < h * w], axis=1).ravel()]
+
+
+def _potts_grid(spec: InstanceSpec, rng: np.random.Generator) -> _Blocks:
     """4-connected grid, per-edge Potts strength alpha*[x_u != x_v]."""
-    n = spec.height * spec.width
-    k = spec.labels
-    unaries = _uniform(rng, *spec.noise, (n, k))
-    factors = [Factor((v,), unaries[v]) for v in range(n)]
-    off_diag = 1.0 - np.eye(k)
-    for (u, v) in _grid_edges(spec.height, spec.width):
-        alpha = float(_uniform(rng, *spec.coupling, ()))
-        factors.append(Factor((u, v), alpha * off_diag))
-    return GraphicalModel([k] * n, factors)
+    unaries = _unaries(spec, rng, spec.height * spec.width)
+    edges = _grid_edges(spec.height, spec.width)
+    alphas = _uniform(rng, *spec.coupling, len(edges))
+    return [unaries, (edges, alphas[:, None, None] * (1.0 - np.eye(spec.labels)))]
 
 
-def _random_pairwise(spec: InstanceSpec, rng: np.random.Generator) -> GraphicalModel:
+def _random_pairwise(spec: InstanceSpec, rng: np.random.Generator) -> _Blocks:
     n, k = spec.num_nodes, spec.labels
-    unaries = _uniform(rng, *spec.noise, (n, k))
-    factors = [Factor((v,), unaries[v]) for v in range(n)]
+    unaries = _unaries(spec, rng, n)
+    edges, tables = [], []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.uniform() < spec.edge_probability:
-                factors.append(Factor((u, v), _uniform(rng, *spec.coupling, (k, k))))
-    return GraphicalModel([k] * n, factors)
+                edges.append((u, v))
+                tables.append(_uniform(rng, *spec.coupling, (k, k)))
+    return [unaries, (np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(tables).reshape(-1, k, k))]
 
 
-def _random_hyper(spec: InstanceSpec, rng: np.random.Generator) -> GraphicalModel:
+def _random_hyper(spec: InstanceSpec, rng: np.random.Generator) -> _Blocks:
     """A random pairwise base plus hyper_count distinct ternary factors."""
     if spec.num_nodes < 3:
         raise DomainError("random-hyper needs at least 3 nodes")
-    base = _random_pairwise(spec, rng)
+    blocks = _random_pairwise(spec, rng)
     k = spec.labels
     tables: dict[tuple[int, ...], np.ndarray] = {}
     while len(tables) < spec.hyper_count:
@@ -131,32 +136,24 @@ def _random_hyper(spec: InstanceSpec, rng: np.random.Generator) -> GraphicalMode
         if scope not in tables:
             tables[scope] = _uniform(rng, *spec.coupling, (k, k, k))
     scopes = np.array(list(tables), dtype=np.int64).reshape(-1, 3)
-    blocks = [(g.scopes, g.tables) for g in base.groups]
-    blocks.append((scopes, np.array(list(tables.values())).reshape(-1, k, k, k)))
-    return GraphicalModel.from_arrays(base.label_counts, blocks)
+    return blocks + [(scopes, np.array(list(tables.values())).reshape(-1, k, k, k))]
 
 
-def _frustrated_cycle(spec: InstanceSpec) -> GraphicalModel:
+def _frustrated_cycle(spec: InstanceSpec, rng: np.random.Generator) -> _Blocks:
     """An n-cycle whose edges pay alpha for agreement and alpha/2 otherwise.
 
     With two labels and odd n the relaxation's unique optimum is the
     half-integral vertex of value n*alpha/2, strictly below the true optimum
     (n+1)*alpha/2, so no node can be committed.  The strength alpha is the
-    lower end of the coupling range.
+    lower end of the coupling range.  Zero noise draws no unaries.
     """
     n, k = spec.num_nodes, spec.labels
     if n < 3:
         raise DomainError("a cycle needs at least 3 nodes")
-    alpha = spec.coupling[0]
-    table = alpha * (np.eye(k) + 1.0) / 2.0
-    factors = []
-    if spec.noise != (0.0, 0.0):
-        rng = np.random.default_rng(spec.seed)
-        unaries = _uniform(rng, *spec.noise, (n, k))
-        factors += [Factor((v,), unaries[v]) for v in range(n)]
-    edges = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
-    factors += [Factor(e, table) for e in edges]
-    return GraphicalModel([k] * n, factors)
+    table = spec.coupling[0] * (np.eye(k) + 1.0) / 2.0
+    edges = np.array([(v, v + 1) for v in range(n - 1)] + [(0, n - 1)], dtype=np.int64)
+    cycle = (edges, np.repeat(table[None], n, axis=0))
+    return [cycle] if spec.noise == (0.0, 0.0) else [_unaries(spec, rng, n), cycle]
 
 
 def frustrated_cycle(n: int = 3, labels: int = 2, alpha: float = 1.0) -> GraphicalModel:

@@ -36,8 +36,8 @@ from .solvers import (
     ENUMERATION_CAP,
     SolverOutput,
     StopRule,
+    _tied,
     bruteforce_output,
-    solve_bruteforce,
     solve_lp_exact,
     solve_trws,
 )
@@ -363,14 +363,19 @@ def strong_persistency_scan(
         raise StateSpaceCapError(
             f"scan limited to {max_nodes} nodes, model has {model.num_nodes}"
         )
-    ref, _, optima = solve_bruteforce(model, cap)
-    agreeing = np.flatnonzero((optima == optima[0]).all(axis=0)).tolist()
+    _, tied = _tied(model, cap)
+    ref = np.unravel_index(np.argmax(tied), tied.shape)  # the first optimum
+    # All optima agree on v when exactly one of v's labels has a tied entry.
+    nodes = range(model.num_nodes)
+    agreeing = [
+        v for v in nodes if np.count_nonzero(tied.any(axis=tuple(u for u in nodes if u != v))) == 1
+    ]
 
     found: list[tuple[tuple[int, ...], PartialLabeling]] = [((), PartialLabeling.empty())]
     maximal: tuple[int, ...] = ()
     for mask in range(1, 1 << len(agreeing)):
         subset = tuple(agreeing[i] for i in range(len(agreeing)) if mask >> i & 1)
-        x = PartialLabeling(subset, tuple(ref[v] for v in subset))
+        x = PartialLabeling(subset, tuple(int(ref[v]) for v in subset))
         aug = build_augmented_model(model, subset, x)
         reference = energy(aug.model, x.labels)
         lp = build_lp(aug.model)

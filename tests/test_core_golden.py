@@ -1,4 +1,5 @@
-"""Byte goldens for the LP layout, the reparametrization and whole pruning runs.
+"""Byte goldens for the generators, the LP layout, the reparametrization and
+whole pruning runs.
 
 The digests were recorded with the per-factor implementation that walked
 ``model.factors``; the group-based one must reproduce every byte: the LP's
@@ -19,6 +20,7 @@ from mapprune import (
     optimal_reparametrization,
     prune,
     solve_lp_exact,
+    write_uai,
 )
 from test_boundary import _core_models
 from test_trws_golden import _prune_digest, grid_20x20x4
@@ -30,6 +32,37 @@ def lp_grid(seed: int):
         kind="potts-grid", height=8, width=8, labels=3,
         coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=seed,
     ))
+
+
+def _generator_specs():
+    """Every kind at 1-4 labels, with the edge cases of each: 1x1 and 1xW
+    grids, a single node, equal coupling bounds, no ternary factor, and
+    cycles with and without noise."""
+    for labels in (1, 2, 3, 4):
+        for seed, (h, w) in enumerate(((1, 1), (1, 5), (4, 1), (3, 4))):
+            for coupling in ((0.0, 1.0), (-0.5, 2.0), (0.5, 0.5)):
+                yield InstanceSpec(kind="potts-grid", height=h, width=w, labels=labels,
+                                   coupling=coupling, seed=seed)
+        yield InstanceSpec(kind="potts-grid", height=2, width=3, labels=labels, noise=(0.0, 0.0))
+        for n in (1, 2, 6):
+            for p in (0.0, 0.5, 1.0):
+                yield InstanceSpec(kind="random-pairwise", num_nodes=n, labels=labels,
+                                   edge_probability=p, seed=n)
+            yield InstanceSpec(kind="random-pairwise", num_nodes=n, labels=labels, coupling=(0.3, 0.3))
+        for n, count in ((3, 0), (3, 1), (5, 3), (6, 20)):
+            yield InstanceSpec(kind="random-hyper", num_nodes=n, labels=labels, hyper_count=count, seed=count)
+        for n in (3, 4, 7):
+            yield InstanceSpec(kind="frustrated-cycle", num_nodes=n, labels=labels,
+                               coupling=(0.5, 2.0), noise=(0.0, 0.0))
+            yield InstanceSpec(kind="frustrated-cycle", num_nodes=n, labels=labels, seed=n)
+
+
+def test_generated_model_bytes():
+    """The generators draw in a fixed order, so a seed fixes every byte."""
+    h = hashlib.sha256()
+    for spec in _generator_specs():
+        h.update(write_uai(generate(spec)).encode())
+    assert h.hexdigest() == "27b0ad2774ac2f86c8b57d535e73aecdf2013c23ab561afc1b1fa648a290a1dd"
 
 
 def test_build_lp_bytes(rng):

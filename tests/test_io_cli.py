@@ -179,6 +179,25 @@ class TestGenerate:
         with pytest.raises(DomainError, match="hyper_count"):
             InstanceSpec(kind="random-hyper", num_nodes=nodes, hyper_count=count)
 
+    @staticmethod
+    def _sized(field, value):
+        """A spec of a kind that reads ``field``, with ``field`` set to ``value``."""
+        if field in ("height", "width"):
+            return InstanceSpec(kind="potts-grid", **{"height": 2, "width": 3, field: value})
+        return InstanceSpec(kind="random-pairwise", **{"num_nodes": 3, field: value})
+
+    @pytest.mark.parametrize("field", ["num_nodes", "height", "width", "labels"])
+    @pytest.mark.parametrize("value", [2.5, "5", float("nan"), None])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            self._sized(field, value)
+
+    @pytest.mark.parametrize("field", ["num_nodes", "height", "width", "labels"])
+    def test_integral_float_sizes_become_ints(self, field):
+        spec, exact = self._sized(field, 3.0), self._sized(field, 3)
+        assert type(getattr(spec, field)) is int and spec == exact
+        assert write_uai(generate(spec)) == write_uai(generate(exact))
+
 
 class TestPercentage:
     def test_mixed_label_spaces(self):

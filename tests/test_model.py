@@ -278,16 +278,34 @@ class TestEnergyDecomposition:
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
 
+def _nodes_outside_the_model():
+    """(file name, syntax node) for every node of every package module but
+    model.py, so comments and docstrings may still name what is looked for."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "model.py":
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                yield path.name, node
+
+
 def test_only_the_model_reads_factor_views():
     """Models store their factors as stacked groups; outside model.py the
-    package reads those arrays, never the per-factor ``factors`` views.
-    Attribute reads are found in the syntax tree, so comments and
-    docstrings may still name them."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "model.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "factors":
-                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    package reads those arrays, never the per-factor ``factors`` views."""
+    found = [
+        f"{name}:{node.lineno}: {ast.unparse(node)}"
+        for name, node in _nodes_outside_the_model()
+        if isinstance(node, ast.Attribute) and node.attr == "factors"
+    ]
+    assert found == []
+
+
+def test_only_the_model_makes_factors():
+    """Outside model.py the package builds models from arrays: no module
+    names ``Factor``, except the package's re-export of it."""
+    found = [
+        f"{name}:{node.lineno}: {ast.unparse(node)}"
+        for name, node in _nodes_outside_the_model()
+        if (isinstance(node, ast.Name) and node.id == "Factor")
+        or (isinstance(node, ast.Attribute) and node.attr == "Factor")
+        or (isinstance(node, ast.alias) and node.name == "Factor" and name != "__init__.py")
+    ]
     assert found == []

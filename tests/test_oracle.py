@@ -194,11 +194,18 @@ class TestEnumerationCap:
                 call()
 
     @pytest.mark.parametrize(
-        "run", [bruteforce_output, lambda m: prune(m, solver="bruteforce")], ids=["output", "prune"]
+        "run",
+        [
+            bruteforce_output,
+            lambda m: prune(m, solver="bruteforce"),
+            lambda m: strong_persistency_scan(m, max_nodes=20),
+        ],
+        ids=["output", "prune", "scan"],
     )
     def test_first_of_a_million_ties(self, run):
         """Without factors, all 2^20 labelings tie: brute force holds the
-        8 MB table and a 1 MB mask, and decodes the first optimum alone."""
+        8 MB table and a 1 MB mask, and decodes the first optimum alone.
+        The scan reads which nodes all optima agree on from the mask."""
         m = GraphicalModel([2] * 20)
         tracemalloc.start()
         try:
