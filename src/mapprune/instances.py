@@ -43,10 +43,12 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}")
-        for field in ("labels", "height", "width", "num_nodes"):
+        for field in ("labels", "height", "width", "num_nodes", "seed"):
             value = getattr(self, field)
             (count,) = _integers((value,), DomainError(f"{field} must be an integer, got {value!r}"))
             object.__setattr__(self, field, count)
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.labels < 1:
             raise DomainError("label count must be positive")
         if self.kind == "potts-grid":
@@ -58,12 +60,15 @@ class InstanceSpec:
             most = math.comb(self.num_nodes, 3)  # distinct ternary scopes
             if _integers((self.hyper_count,)) is None or not 0 <= self.hyper_count <= most:
                 raise DomainError(f"hyper_count must be an integer in [0, {most}], got {self.hyper_count!r}")
-        lo, hi = self.coupling
-        if hi < lo:
-            raise DomainError("coupling range is inverted")
-        lo, hi = self.noise
-        if hi < lo:
-            raise DomainError("noise range is inverted")
+        for field in ("coupling", "noise"):
+            pair = getattr(self, field)
+            if not _finite_pair(pair):
+                raise DomainError(f"{field} must be a pair of finite numbers, got {pair!r}")
+            lo, hi = pair
+            if hi < lo:
+                raise DomainError(f"{field} range is inverted")
+        if not (_finite(self.edge_probability) and 0 <= self.edge_probability <= 1):
+            raise DomainError(f"edge_probability must be in [0, 1], got {self.edge_probability!r}")
 
     @property
     def name(self) -> str:
@@ -72,6 +77,22 @@ class InstanceSpec:
         else:
             size = str(self.num_nodes)
         return f"{self.kind}-{size}-L{self.labels}-s{self.seed}"
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number (a string is not)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
+def _finite_pair(pair) -> bool:
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        return False
+    return _finite(lo) and _finite(hi)
 
 
 def _uniform(rng: np.random.Generator, lo: float, hi: float, shape) -> np.ndarray:

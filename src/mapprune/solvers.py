@@ -35,6 +35,10 @@ from .tolerance import (
 
 # Default cap on exhaustive enumeration (joint labelings).
 ENUMERATION_CAP = 2_000_000
+# Entries per contiguous block of an energy table (``_energy_table``): long
+# enough that each row's add runs at memory speed, short enough that a
+# factor's broadcast operand stays in cache.
+_BLOCK = 16_384
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,19 +121,36 @@ def _energy_table(model: GraphicalModel, cap: int) -> np.ndarray:
     shape ``label_counts`` (node 0 most significant); raises
     StateSpaceCapError above ``cap`` before allocating anything.
 
-    From 0.0, each factor's table is added, broadcast over its scope's
-    axes, in stored factor order: every entry is the sum ``energy`` forms
-    for its labeling, in the same order, so it is bit-identical to it.
+    The array is viewed as rows of one block: the block spans the trailing
+    axes whose label counts multiply to at most _BLOCK entries, and the
+    leading axes index the rows.  From 0.0, each factor's table is added in
+    stored factor order.  A factor that reaches into the block is broadcast
+    once into a contiguous operand per label of its leading axes, which each
+    row adds with one long inner loop; a factor on leading axes only adds
+    one scalar per row.  A table that fits in one block is one row, and
+    each factor is added broadcast over the whole array.  Either way every
+    entry gets the same table values in the same order, from 0.0, so it is
+    the sum ``energy`` forms for its labeling, bit for bit.
     """
     total = model.joint_space_size()
     if total > cap:
         raise StateSpaceCapError(f"state space {total} exceeds cap {cap}")
-    e = np.zeros(model.label_counts)
+    counts = model.label_counts
+    split, block = model.num_nodes, 1
+    while split and block * counts[split - 1] <= _BLOCK:
+        split -= 1
+        block *= counts[split]
+    e = np.zeros(counts)
+    rows = e.reshape(*counts[:split], block)
     for scope, table in _factor_rows(model):
         shape = [1] * model.num_nodes
         for v, k in zip(scope, table.shape):
             shape[v] = k
-        e += table.reshape(shape)
+        if split and scope and scope[-1] >= split:
+            block_part = np.broadcast_to(table.reshape(shape), (*shape[:split], *counts[split:]))
+            rows += np.ascontiguousarray(block_part).reshape(*shape[:split], block)
+        else:
+            e += table.reshape(shape)
     return e
 
 

@@ -198,6 +198,26 @@ class TestGenerate:
         assert type(getattr(spec, field)) is int and spec == exact
         assert write_uai(generate(spec)) == write_uai(generate(exact))
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2.5), ("seed", "3"), ("seed", None), ("seed", -1),
+        ("coupling", (0.0, float("nan"))), ("coupling", (float("-inf"), 1.0)), ("coupling", (0.0, "1")),
+        ("coupling", (0.0, 1.0, 2.0)), ("noise", (float("nan"), 1.0)), ("noise", (0.0, float("inf"))), ("noise", 1.0),
+        ("edge_probability", float("nan")), ("edge_probability", float("inf")),
+        ("edge_probability", -0.5), ("edge_probability", 1.5), ("edge_probability", "0.5"),
+    ])
+    def test_draw_parameters_are_checked(self, field, value):
+        """Seeds are integers >= 0, bounds are pairs of finite numbers, and
+        the edge probability is a finite number in [0, 1]; anything else is
+        refused at construction, before ``generate`` draws."""
+        with pytest.raises(DomainError, match=field):
+            InstanceSpec(kind="random-hyper", num_nodes=4, **{field: value})
+
+    def test_integral_float_seed_becomes_int(self):
+        spec = InstanceSpec(kind="random-hyper", num_nodes=4, seed=5.0)
+        exact = InstanceSpec(kind="random-hyper", num_nodes=4, seed=5)
+        assert type(spec.seed) is int and spec == exact
+        assert write_uai(generate(spec)) == write_uai(generate(exact))
+
 
 class TestPercentage:
     def test_mixed_label_spaces(self):

@@ -1,5 +1,11 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +26,8 @@ from mapprune import (
     solve_lp_exact,
     solve_trws,
 )
-from mapprune.solvers import ENUMERATION_CAP, _energy_table, bruteforce_output
+import mapprune
+from mapprune.solvers import _BLOCK, ENUMERATION_CAP, _energy_table, bruteforce_output
 from conftest import enumerate_min, random_pairwise, random_with_ternary
 
 
@@ -90,6 +97,106 @@ class TestBruteforce:
             table = _energy_table(m, ENUMERATION_CAP)
             for x in itertools.product(*map(range, m.label_counts)):
                 assert table[x].tobytes() == np.float64(energy(m, x)).tobytes()
+
+
+def _broadcast_table(model: GraphicalModel) -> np.ndarray:
+    """The spec of ``_energy_table``: from 0.0, each factor's table added
+    over the whole array, broadcast over its scope's axes, in stored order."""
+    e = np.zeros(model.label_counts)
+    for f in model.factors:
+        shape = [1] * model.num_nodes
+        for v, k in zip(f.scope, f.table.shape):
+            shape[v] = k
+        e += f.table.reshape(shape)
+    return e
+
+
+def _block_scale_models(rng) -> list[GraphicalModel]:
+    """Tables of many blocks of ``_BLOCK`` entries, where the block view
+    splits the axes; -0.0 and +-1e16 entries make an entry's bytes depend
+    on the order of its additions."""
+
+    def table(shape):
+        t = np.array(rng.normal(size=shape))
+        pick = rng.uniform(size=shape)
+        t[pick < 0.1] = -0.0
+        t[(0.1 <= pick) & (pick < 0.15)] = 1e16
+        t[(0.15 <= pick) & (pick < 0.2)] = -1e16
+        return t
+
+    def model(counts, scopes):
+        return GraphicalModel(counts, [Factor(s, table([counts[v] for v in s])) for s in scopes])
+
+    n = 12  # 3 labels: 531,441 entries; constants first and in the middle of the input
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < 0.5]
+    models = [model([3] * n, [()] + [(v,) for v in range(n)] + [()] + pairs)]
+    n = 20  # binary: 1,048,576 entries; ternary windows straddle every axis split
+    chain = [(v,) for v in range(n)] + [(v, v + 1) for v in range(n - 1)]
+    models.append(model([2] * n, chain))
+    models.append(model([2] * n, chain[:5] + [()] + [(v, v + 1, v + 3) for v in range(n - 3)] + [(0, 10, 19)]))
+    # Mixed label counts with 1-label nodes.  The trailing axes multiply to
+    # exactly _BLOCK, to _BLOCK - 1 before the next axis passes it, and
+    # the last axis alone exceeds it.
+    for counts in ([3, 1, 2, 4, 1, _BLOCK // 8, 1], [2, 3, 1, _BLOCK - 1, 1], [3, 1, _BLOCK + 1]):
+        last = len(counts) - 1
+        scopes = [()] + [(v,) for v in range(len(counts))] + [(0, last), (1, last), (0, 2), (0, 1, last), ()]
+        models.append(model(counts, scopes))
+    models += [GraphicalModel([]), GraphicalModel([], [Factor((), 0.5), Factor((), -0.0)])]
+    return models
+
+
+class TestEnergyTableBlocks:
+    def test_bit_for_bit_at_block_scale(self, rng):
+        for m in _block_scale_models(rng):
+            table = _energy_table(m, ENUMERATION_CAP)
+            assert table.shape == m.label_counts and table.dtype == np.float64 and table.flags.c_contiguous
+            assert table.tobytes() == _broadcast_table(m).tobytes()
+            for _ in range(25):
+                x = tuple(int(rng.integers(k)) for k in m.label_counts)
+                assert table[x].tobytes() == np.float64(energy(m, x)).tobytes()
+
+    def test_no_full_size_temporaries(self):
+        """On a 20-node binary chain (an 8 MB table), the traced peak is the
+        table plus each factor's operand, which spans one block."""
+        n = 20
+        m = GraphicalModel([2] * n, [Factor((v,), [0.5, -0.25]) for v in range(n)]
+                           + [Factor((v, v + 1), [[0.0, 1.0], [1.0, 0.0]]) for v in range(n - 1)])
+        tracemalloc.start()
+        try:
+            table = _energy_table(m, ENUMERATION_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 8 << 20
+        assert peak <= table.nbytes + (1 << 20)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc")
+    def test_factorless_table_stays_unwritten(self):
+        """Without factors nothing writes the zeroed table, so its pages stay
+        unmapped: the resident set does not grow by its 8 MB.  One unary
+        writes every entry, and then it does.  A fresh process, so that the
+        table gets fresh pages."""
+        code = textwrap.dedent("""
+            import os
+            from mapprune import Factor, GraphicalModel
+            from mapprune.solvers import _energy_table
+
+            def rss():
+                with open("/proc/self/statm") as f:
+                    return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+            def grown(m):
+                before = rss()
+                table = _energy_table(m, 1 << 20)
+                return rss() - before
+
+            print(grown(GraphicalModel([2] * 20)), grown(GraphicalModel([2] * 20, [Factor((19,), [0.0, 1.0])])))
+        """)
+        src = str(Path(mapprune.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        factorless, written = map(int, out.stdout.split())
+        assert factorless < 1 << 20 and written >= 4 << 20
 
 
 class TestLpExact:
