@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, StateSpaceCapError, UnsupportedArityError
 from .model import GraphicalModel, Reparametrization, _factor_rows, _integers, _sum_in_order
 from .model import energies_close, energy
-from .polytope import Marginals, build_lp
+from .polytope import Marginals, _layout, _objective, build_lp
 from .simplex import SimplexState, solve_standard_form
 from .tolerance import (
     CRITERION_TOL,
@@ -203,14 +203,25 @@ def solve_lp_exact(
     handed to ``solve_standard_form``: empty, it keeps the final tableau;
     holding the one of a model whose LP has the same constraint rows, the
     solve resumes from it, and ``iterations`` counts the pivots made from
-    that state.
+    that state.  A resumed solve builds only the LP's cost vector, not its
+    constraint matrix, which the simplex would read only for its shape.
     """
     if model.num_nodes == 0:  # no LP: the value is the model's constant
         value = energy(model, ())
         return Marginals((), {}), value, SolverOutput((), value, "exact-lp", iterations=0)
-    lp = build_lp(model)
-    res = solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)
-    mu = lp.unflatten(res.x)
+    if state is not None and state.tableau is not None:
+        # A resumed solve reads only the shapes of A and b: build neither.
+        layout = _layout(model)
+        res = solve_standard_form(
+            _objective(model, layout),
+            np.broadcast_to(0.0, (layout.num_rows, layout.num_vars)),
+            np.broadcast_to(0.0, (layout.num_rows,)),
+            state,
+        )
+    else:
+        layout = build_lp(model)
+        res = solve_standard_form(layout.c, layout.a_eq, layout.b_eq, state)
+    mu = layout.unflatten(res.x)
     # Every node block as one row, padded with -inf, which neither argmax
     # nor the thresholds below ever pick.
     counts = np.array(model.label_counts, dtype=np.int64)
