@@ -17,6 +17,7 @@ from mapprune import (
     InstanceSpec,
     StopRule,
     generate,
+    persistency,
     prune,
     solve_bruteforce,
     solve_trws,
@@ -151,3 +152,42 @@ def test_prune_golden_digest():
         ))
         h.update(_prune_digest(prune(m, solver="trws")).encode())
     assert h.hexdigest() == "087672e79d351d6b5e38d283a9945917642a48f81158616feda68a958eb3a260"
+
+
+def _output_digest(out) -> bytes:
+    """The bytes of a solve: messages both ways, the bound history as hex,
+    labels and stop."""
+    h = hashlib.sha256()
+    for part in (out.messages.forward, out.messages.backward, out.labels):
+        h.update(part.tobytes())
+    h.update(repr([b.hex() for b in out.bound_history]).encode())
+    h.update(out.stop.encode())
+    return h.digest()
+
+
+def test_message_bytes_golden(monkeypatch):
+    """The message bytes, which the goldens above do not pin, of every case
+    cold and resumed from its cold messages, and of every solve that
+    ``prune`` makes on two criterion-6 grids in both modes."""
+    h = hashlib.sha256()
+    for name in sorted(CASES):
+        build, stop = CASES[name]
+        model = build()
+        cold = solve_trws(model, stop)
+        h.update(_output_digest(cold))
+        h.update(_output_digest(solve_trws(model, stop, start=cold.messages)))
+    solves = []
+    monkeypatch.setattr(
+        persistency, "solve_trws", lambda *a, **k: solves.append(solve_trws(*a, **k)) or solves[-1]
+    )
+    for seed in range(2):
+        m = generate(InstanceSpec(
+            kind="potts-grid", height=20, width=20, labels=4,
+            coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=seed,
+        ))
+        for mode in ("original", "optimal"):
+            prune(m, solver="trws", mode=mode)
+    assert len(solves) == 24
+    for out in solves:
+        h.update(_output_digest(out))
+    assert h.hexdigest() == "2b434f48e138636ce437e65014aff39e494e24379cf59b0d182762b54a902b9d"

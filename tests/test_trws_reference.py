@@ -7,8 +7,9 @@ three passes the messages (in ``model.edges()`` order, through
 ``state()``), the bound, the aggregates, the greedy rounding and the
 strong-agreement commitments must match bit for bit.  This also pins that
 ``np.add.reduce`` over a leading axis adds its rows in order, which
-``_add_rows`` relies on, and, on a model whose minima tie between -0.0 and
-+0.0, which of the two zeros every min over labels keeps.
+``_add_rows`` and the sweeps rely on; that those sums start from -0.0, so
+that a sum of -0.0 terms stays -0.0; and, on a model whose minima tie
+between -0.0 and +0.0, which of the two zeros every min over labels keeps.
 """
 
 import numpy as np
@@ -159,6 +160,17 @@ def signed_zeros() -> GraphicalModel:
     return GraphicalModel((k,) * (h * w), factors)
 
 
+def isolated_signed_zero() -> GraphicalModel:
+    """Nodes 0 and 1 share an edge; node 2 is isolated, with the unary
+    (-0.0, 1.0).  Its aggregate adds the -0.0 pad row to that unary: a sum
+    started from +0.0 would turn its -0.0 into +0.0."""
+    return GraphicalModel((2, 2, 2), [
+        Factor((0,), np.array([0.5, -1.0])),
+        Factor((2,), np.array([-0.0, 1.0])),
+        Factor((0, 1), np.array([[0.0, 1.0], [1.0, 0.0]])),
+    ])
+
+
 def no_edges() -> GraphicalModel:
     rng = np.random.default_rng(12)
     counts = (2, 3, 1, 4)
@@ -170,15 +182,10 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
-@pytest.mark.parametrize("build", [potts_5x5, random_mixed, no_edges, signed_zeros])
-def test_batched_run_matches_node_by_node(build, warm):
-    model = build()
-    start = None
-    if warm:
-        rng = np.random.default_rng(3)
-        shape = (len(model.edges()), max(model.label_counts))
-        start = Reparametrization(rng.normal(0.0, 1.0, shape), rng.normal(0.0, 1.0, shape))
+def assert_matches_node_by_node(model: GraphicalModel, start: Reparametrization | None) -> None:
+    """Three passes of ``_TrwsRun`` and of ``NodeByNode`` from ``start``
+    give the same bytes: messages, bound, aggregates, rounding and
+    commitments, the latter also with ties forced into the aggregates."""
     run = _TrwsRun(model)
     if start is not None:
         run.resume(start)
@@ -199,6 +206,18 @@ def test_batched_run_matches_node_by_node(build, warm):
         tied = unaries.copy()
         tied[::2, :2] = tied[::2].min(axis=1, keepdims=True)
         assert _same(run.commitments(tied), ref.commitments(tied))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+@pytest.mark.parametrize("build", [potts_5x5, random_mixed, no_edges, signed_zeros, isolated_signed_zero])
+def test_batched_run_matches_node_by_node(build, warm):
+    model = build()
+    start = None
+    if warm:
+        rng = np.random.default_rng(3)
+        shape = (len(model.edges()), max(model.label_counts))
+        start = Reparametrization(rng.normal(0.0, 1.0, shape), rng.normal(0.0, 1.0, shape))
+    assert_matches_node_by_node(model, start)
 
 
 def test_reference_models_cover_the_edge_cases():
