@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .model import GraphicalModel, PartialLabeling, _integers, _subset_mask
 from .persistency import PersistencyResult
@@ -83,7 +83,7 @@ class RunReport:
             a_star=result.a_star,
             x_star=result.x_star.as_mapping(),
             percentage=persistency_percentage(model, result.a_star),
-            trace=[asdict(r) for r in result.trace],
+            trace=[{f.name: getattr(r, f.name) for f in fields(r)} for r in result.trace],
             wall_time_s=wall_time_s,
             notes=result.notes,
             verification=verification,

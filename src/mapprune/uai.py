@@ -10,6 +10,7 @@ arity 0 and a one-entry table.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,47 +19,12 @@ from .errors import UaiParseError
 from .model import GraphicalModel, _factor_rows
 from .tolerance import BIG_M_MARGIN
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        for tok in line.split():
-            out.append((tok, ln))
-    return out
 
-
-class _TokenStream:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    @property
-    def last_line(self) -> int:
-        return self.tokens[-1][1] if self.tokens else 1
-
-    def next(self, what: str) -> tuple[str, int]:
-        if self.exhausted:
-            raise UaiParseError(f"unexpected end of input, expected {what}", self.last_line)
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def next_int(self, what: str) -> int:
-        tok, ln = self.next(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise UaiParseError(f"expected {what} (an integer), got {tok!r}", ln) from None
-
-    def next_float(self, what: str) -> float:
-        tok, ln = self.next(what)
-        try:
-            return float(tok)
-        except ValueError:
-            raise UaiParseError(f"expected {what} (a number), got {tok!r}", ln) from None
+def _line(text: str, index: int) -> int:
+    """The line, from 1, of ``text.splitlines()`` that holds token ``index`` of
+    ``text.split()`` (line 1 for index -1); each line boundary is whitespace to str.split."""
+    ends = itertools.accumulate(len(line.split()) for line in text.splitlines())
+    return next((ln for ln, end in enumerate(ends, start=1) if end > index), 1)
 
 
 def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
@@ -66,35 +32,56 @@ def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
     "probability" (-log, with a per-model big-M for zero probabilities)."""
     if values not in ("cost", "probability"):
         raise UaiParseError(f"unknown values mode {values!r}")
-    ts = _TokenStream(text)
-    header, ln = ts.next("the MARKOV preamble")
+    tokens = text.split()
+    pos = 0
+
+    def read(convert, what: str, *args):
+        """The next token through ``convert`` (str, int or float).  An error
+        names it as ``what.format(*args)``; only an error counts lines."""
+        nonlocal pos
+        if pos < len(tokens):
+            pos += 1
+            try:
+                return convert(tokens[pos - 1])
+            except ValueError:
+                kind = "an integer" if convert is int else "a number"
+                message = f"expected {what.format(*args)} ({kind}), got {tokens[pos - 1]!r}"
+        else:
+            message = f"unexpected end of input, expected {what.format(*args)}"
+        raise UaiParseError(message, _line(text, pos - 1))
+
+    header = read(str, "the MARKOV preamble")
     if header.upper() != "MARKOV":
-        raise UaiParseError(f"expected MARKOV preamble, got {header!r}", ln)
-    n = ts.next_int("the variable count")
+        raise UaiParseError(f"expected MARKOV preamble, got {header!r}", _line(text, 0))
+    n = read(int, "the variable count")
     if n < 0:
         raise UaiParseError("negative variable count")
     cards = []
     for v in range(n):
-        k = ts.next_int(f"cardinality of variable {v}")
+        k = read(int, "cardinality of variable {}", v)
         if k < 1:
             raise UaiParseError(f"variable {v} has cardinality {k}")
         cards.append(k)
-    num_factors = ts.next_int("the factor count")
+    num_factors = read(int, "the factor count")
+    if num_factors < 0:
+        raise UaiParseError("negative factor count")
 
     scopes: list[list[int]] = []
     for i in range(num_factors):
-        arity = ts.next_int(f"arity of factor {i}")
+        arity = read(int, "arity of factor {}", i)
         if arity < 0:
             raise UaiParseError(f"factor {i} has arity {arity}")
         scope = []
         for j in range(arity):
-            tok, ln = ts.next(f"scope entry {j} of factor {i}")
+            tok = read(str, "scope entry {} of factor {}", j, i)
             try:
                 v = int(tok)
             except ValueError:
-                raise UaiParseError(f"bad scope entry {tok!r} in factor {i}", ln) from None
+                message = f"bad scope entry {tok!r} in factor {i}"
+                raise UaiParseError(message, _line(text, pos - 1)) from None
             if not 0 <= v < n:
-                raise UaiParseError(f"factor {i} scope index {v} out of range", ln)
+                message = f"factor {i} scope index {v} out of range"
+                raise UaiParseError(message, _line(text, pos - 1))
             scope.append(v)
         if len(set(scope)) != len(scope):
             raise UaiParseError(f"factor {i} repeats a variable in its scope")
@@ -102,21 +89,25 @@ def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
 
     tables: list[np.ndarray] = []
     for i, scope in enumerate(scopes):
-        count = ts.next_int(f"table size of factor {i}")
+        count = read(int, "table size of factor {}", i)
         expected = math.prod(cards[v] for v in scope)
         if count != expected:
-            raise UaiParseError(
-                f"factor {i} declares {count} table entries, scope needs {expected}"
-            )
-        try:
-            vals = [ts.next_float(f"table entry of factor {i}") for _ in range(count)]
-        except UaiParseError as e:
-            raise UaiParseError(f"truncated table for factor {i}: {e}") from None
-        tables.append(np.array(vals).reshape([cards[v] for v in scope]))
+            raise UaiParseError(f"factor {i} declares {count} table entries, scope needs {expected}")
+        try:  # one call; NumPy reads a number token as float() does
+            table = np.array(tokens[pos : pos + count], dtype=np.float64)
+        except ValueError:
+            table = ()
+        if len(table) == count:
+            pos += count
+        else:  # re-read entry by entry, to name the bad or missing one
+            try:
+                table = np.array([read(float, "table entry of factor {}", i) for _ in range(count)])
+            except UaiParseError as e:
+                raise UaiParseError(f"truncated table for factor {i}: {e}") from None
+        tables.append(table.reshape([cards[v] for v in scope]))
 
-    if not ts.exhausted:
-        tok, ln = ts.next("end of input")
-        raise UaiParseError(f"trailing content {tok!r}", ln)
+    if pos < len(tokens):
+        raise UaiParseError(f"trailing content {tokens[pos]!r}", _line(text, pos))
     if values == "probability":
         tables = _probability_costs(tables)
     by_shape: dict[tuple[int, ...], tuple[list, list]] = {}
@@ -130,7 +121,16 @@ def parse_uai(text: str, values: str = "cost") -> GraphicalModel:
         (np.array(s, dtype=np.int64).reshape(len(s), len(shape)), np.array(t))
         for shape, (s, t) in by_shape.items()
     ]
+    if values == "cost" and not all(np.isfinite(t).all() for _, t in blocks):
+        for i, arr in enumerate(tables):  # name the first such factor in file order
+            _refuse_non_finite(i, arr, "cost")
     return GraphicalModel.from_arrays(cards, blocks)
+
+
+def _refuse_non_finite(i: int, table: np.ndarray, values: str) -> None:
+    bad = table[~np.isfinite(table)]
+    if bad.size:
+        raise UaiParseError(f"factor {i} has {values} {float(bad[0])}, not a finite number")
 
 
 def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:
@@ -151,9 +151,7 @@ def _probability_costs(tables: list[np.ndarray]) -> list[np.ndarray]:
     """
     costs, allowed = [], []
     for i, arr in enumerate(tables):
-        bad = arr[~np.isfinite(arr)]
-        if bad.size:
-            raise UaiParseError(f"factor {i} has probability {float(bad[0])}, not a finite number")
+        _refuse_non_finite(i, arr, "probability")
         ok = arr > 0.0
         if not ok.any():
             raise UaiParseError(

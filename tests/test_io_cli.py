@@ -127,6 +127,17 @@ class TestParseUai:
         with pytest.raises(UaiParseError, match=f"factor 1 .*{entry}"):
             parse_uai(text, values="probability")
 
+    @pytest.mark.parametrize("entry, shown", [("nan", "nan"), ("inf", "inf"), ("1e999", "inf")])
+    def test_cost_mode_rejects_non_finite_entry(self, entry, shown):
+        """The error names the file's factor 1, not its sorted scope (0,)."""
+        text = f"MARKOV\n2\n2 2\n3\n1 1\n1 0\n1 0\n\n2\n 1 0\n\n2\n 0.5 {entry}\n\n2\n nan 0\n"
+        with pytest.raises(UaiParseError, match=f"^factor 1 has cost {shown}, not a finite number$"):
+            parse_uai(text)
+
+    def test_negative_factor_count(self):
+        with pytest.raises(UaiParseError, match="^negative factor count$"):
+            parse_uai("MARKOV\n1\n2\n-3\n")
+
     def test_probability_mode_rejects_all_zero_factor(self):
         with pytest.raises(UaiParseError, match="no labeling is feasible"):
             parse_uai("MARKOV\n1\n2\n1\n1 0\n\n2\n 0 0\n", values="probability")
