@@ -169,7 +169,13 @@ def _merge(scopes: np.ndarray, tables: np.ndarray, num_nodes: int) -> tuple[np.n
     new = np.ones(len(s), dtype=bool)
     new[1:] = (s[1:] != s[:-1]).any(axis=1)
     out = tables[order[new]]
-    np.add.at(out, (np.cumsum(new) - 1)[~new], tables[order[~new]])
+    with np.errstate(over="ignore"):  # finite tables can add up to an infinity: refused below
+        np.add.at(out, (np.cumsum(new) - 1)[~new], tables[order[~new]])
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
+        raise DomainError(
+            f"factor over {_first_row(s[new], bad)}: its repeated tables add to a non-finite entry"
+        )
     out.setflags(write=False)
     return s[new], out
 

@@ -187,7 +187,12 @@ def prune(
     node) resumes the simplex from that solve's final tableau: only the
     objective changed, so phase 1 is skipped and phase 2 starts at the last
     optimal basis.  Its record's ``solver_iterations`` counts the pivots
-    made from there.  Any other exact-lp loop solve starts cold.
+    made from there.  Any other exact-lp solve starts cold, and
+    ``solve_lp_exact`` keeps the phase-1 result of the last one that ran
+    phase 1, within a prune and between prunes: a cold solve over the same
+    rows starts phase 2 from a copy of it, with the pivots, bytes and
+    ``solver_iterations`` of a cold solve, and one over other rows (such as
+    a loop solve on fewer nodes) replaces it.
 
     Each solve logs one DEBUG line to the "mapprune" logger: how it started
     (cold, warm, resumed or reused), its iteration count and its stop rule.

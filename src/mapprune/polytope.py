@@ -103,23 +103,22 @@ def _layout(model: GraphicalModel) -> _Layout:
     )
 
 
+def _rows_key(model: GraphicalModel) -> tuple:
+    """All that ``build_lp``'s constraint rows read, as a hashable value:
+    the label counts and, group by group, the table shape and the bytes of
+    the scopes and positions (int64 arrays whose shapes the table shape
+    fixes).  Two models have equal keys exactly when their rows are equal,
+    and a key holds no reference to its model."""
+    return model.label_counts, tuple(
+        (g.tables.shape, g.scopes.tobytes(), g.positions.tobytes()) for g in model.groups
+    )
+
+
 def same_rows(a: GraphicalModel, b: GraphicalModel) -> bool:
     """Whether ``build_lp`` gives the two models the same constraint rows
-    (``a_eq`` and ``b_eq``), so that their LPs differ at most in ``c``.
-
-    An exact test of all that the rows read: the label counts and, group
-    by group, the scopes, positions and table shapes.
-    """
-    return (
-        a.label_counts == b.label_counts
-        and len(a.groups) == len(b.groups)
-        and all(
-            g.tables.shape == h.tables.shape
-            and np.array_equal(g.scopes, h.scopes)
-            and np.array_equal(g.positions, h.positions)
-            for g, h in zip(a.groups, b.groups)
-        )
-    )
+    (``a_eq`` and ``b_eq``), so that their LPs differ at most in ``c``: an
+    exact test of their ``_rows_key``."""
+    return _rows_key(a) == _rows_key(b)
 
 
 def _objective(model: GraphicalModel, layout: _Layout) -> np.ndarray:

@@ -134,6 +134,12 @@ class TestParseUai:
         with pytest.raises(UaiParseError, match=f"^factor 1 has cost {shown}, not a finite number$"):
             parse_uai(text)
 
+    def test_repeated_scopes_adding_to_non_finite_rejected(self):
+        """Two finite tables over one scope whose sum overflows."""
+        text = "MARKOV\n1\n2\n2\n1 0\n1 0\n2\n 1e308 0\n2\n 1e308 0\n"
+        with pytest.raises(DomainError, match=r"^factor over \(0,\): its repeated tables add to a non-finite"):
+            parse_uai(text)
+
     def test_negative_factor_count(self):
         with pytest.raises(UaiParseError, match="^negative factor count$"):
             parse_uai("MARKOV\n1\n2\n-3\n")

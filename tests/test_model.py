@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,26 @@ class TestModelConstruction:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             Factor((0,), [np.inf, 0])
+
+    @pytest.mark.filterwarnings("error")  # and without a NumPy overflow warning
+    def test_repeated_scopes_adding_to_non_finite_rejected(self):
+        """Finite tables whose sum overflows: the merged table would hold an
+        infinity.  The error names the scope, at every arity and through
+        both constructors."""
+        big = [1e308, 0.0]
+        low = [[0.0, -1e308], big]
+        for build, scope in [
+            (lambda: GraphicalModel([2], [Factor((0,), big), Factor((0,), big)]), (0,)),
+            (lambda: GraphicalModel([2], [Factor((), 1e308), Factor((0,), big), Factor((), 1e308)]), ()),
+            (lambda: GraphicalModel.from_arrays([2, 2, 2], [([[0, 1], [1, 2], [1, 2]], [[big, big], low, low])]),
+             (1, 2)),
+        ]:
+            message = f"factor over {scope}: its repeated tables add to a non-finite entry"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                build()
+        # Up to the largest float, they still add.
+        m = GraphicalModel([2], [Factor((0,), [1e308, 0.0]), Factor((0,), [7e307, 0.0])])
+        assert m.factors[0].table.tolist() == [1e308 + 7e307, 0.0]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):

@@ -276,6 +276,46 @@ class TestSparsePivot:
         )
 
 
+class TestPhase1Start:
+    """A solve that starts phase 2 from a kept phase-1 result is a cold solve."""
+
+    @pytest.mark.parametrize("draw", [no_variable_lps, signed_lps, pairwise_lps, hyper_lps, probability_lps])
+    def test_kept_result_restores_every_bit(self, rng, draw):
+        negative_zeros = 0
+        for lp in draw(rng):
+            T, basis, pivots = simplex._phase1(lp.a_eq, lp.b_eq, 10**6)
+            kept = simplex.Phase1.keep(T, basis, pivots)
+            again, again_basis, again_pivots = kept.start()
+            assert again.tobytes() == T.tobytes() and again.shape == T.shape
+            assert again_basis.tobytes() == basis.tobytes() and again_pivots == pivots
+            assert again.flags.writeable and again_basis.flags.writeable
+            negative_zeros += np.count_nonzero(np.signbit(T) & (T == 0.0))
+        if draw is signed_lps:
+            assert negative_zeros > 0  # kept as -0.0, not as +0.0
+
+    @pytest.mark.parametrize("draw", [signed_lps, pairwise_lps, hyper_lps, strong_grid_lps])
+    def test_solve_from_kept_result_is_a_cold_solve(self, rng, draw):
+        for lp in draw(rng):
+            state = SimplexState()
+            cold = solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)
+            kept = state.phase1
+            assert kept.pivots <= cold.iterations
+            c = lp.c + rng.uniform(-1.0, 1.0, lp.num_vars)
+            state = SimplexState(phase1=kept)  # no final tableau: phase 2 from phase 1's basis
+            zeros = np.broadcast_to(0.0, lp.a_eq.shape), np.broadcast_to(0.0, lp.b_eq.shape)
+            started = solve_standard_form(c, *zeros, state)
+            assert result_bytes(started) == result_bytes(solve_standard_form(c, lp.a_eq, lp.b_eq))
+            assert state.phase1 is kept and state.tableau is not None  # and it can resume
+
+    def test_kept_result_of_another_shape_raises(self, rng):
+        small, large = sorted(pairwise_lps(rng), key=lambda lp: lp.num_vars)[:: 29]
+        state = SimplexState()
+        solve_standard_form(small.c, small.a_eq, small.b_eq, state)
+        state.tableau = state.basis = None
+        with pytest.raises(SolverError, match="does not fit"):
+            solve_standard_form(large.c, large.a_eq, large.b_eq, state)
+
+
 class TestResume:
     """A solve resumed from the final state of a solve over the same A and b."""
 

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import itertools
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,10 @@ from mapprune import (
     solve_trws,
 )
 import mapprune
+from mapprune import simplex, solvers
+from mapprune.errors import SolverError
+from mapprune.polytope import _rows_key
+from mapprune.simplex import SimplexState
 from mapprune.solvers import _BLOCK, ENUMERATION_CAP, _energy_table, bruteforce_output
 from conftest import enumerate_min, random_pairwise, random_with_ternary
 
@@ -257,6 +263,150 @@ class TestLpExact:
             _, lp_value, _ = solve_lp_exact(m)
             _, ilp_value, _ = solve_bruteforce(m)
             assert lp_value <= ilp_value + 1e-7 * (1 + abs(ilp_value))
+
+
+def _lp_grid(seed: int, coupling=(0.03, 0.15)) -> GraphicalModel:
+    """An 8x8x3 Potts grid: every one has the same LP constraint rows."""
+    return generate(InstanceSpec(
+        kind="potts-grid", height=8, width=8, labels=3,
+        coupling=coupling, noise=(0.0, 1.0), seed=seed,
+    ))
+
+
+def _retabled(model: GraphicalModel, rng) -> GraphicalModel:
+    """The same scopes and table shapes, so the same LP rows, other tables."""
+    return GraphicalModel.from_arrays(model.label_counts, [
+        (g.scopes, g.tables + rng.uniform(-1.0, 1.0, g.tables.shape)) for g in model.groups
+    ])
+
+
+def _lp_bytes(model: GraphicalModel):
+    """Every byte ``solve_lp_exact`` returns."""
+    mu, value, out = solve_lp_exact(model)
+    marginals = [v.tobytes() for v in mu.node] + [(i, t.tobytes()) for i, t in mu.factor.items()]
+    return value.hex(), out.iterations, out.objective_bound.hex(), out.labels.tobytes(), marginals, out
+
+
+class TestKeptPhase1:
+    """A cold exact-lp solve over the constraint rows of the last solve that
+    ran phase 1 starts phase 2 from a copy of that phase-1 result."""
+
+    @staticmethod
+    def _builds(monkeypatch) -> list:
+        built = []
+        build = solvers.build_lp
+        monkeypatch.setattr(solvers, "build_lp", lambda m: built.append(m) or build(m))
+        return built
+
+    @pytest.mark.parametrize("family", ["pairwise", "hyper"])
+    def test_kept_result_gives_the_bytes_of_a_cold_solve(self, rng, monkeypatch, family):
+        built = self._builds(monkeypatch)
+        for _ in range(12):
+            if family == "pairwise":
+                model = random_pairwise(rng, n_lo=2, n_hi=6, mixed_labels=True)
+            else:
+                model = random_with_ternary(rng, n_lo=3, n_hi=5)
+            other = _retabled(model, rng)
+            monkeypatch.setattr(solvers, "_kept_phase1", None)
+            cold = _lp_bytes(other)
+            solve_lp_exact(model)  # keeps its phase 1, which ``other`` shares
+            built.clear()
+            assert _lp_bytes(other) == cold
+            assert built == []  # started from the kept result: no constraint matrix
+
+    def test_strongly_coupled_grid(self, monkeypatch):
+        """Over 7,000 pivots from the kept result of another grid, against a
+        cold solve."""
+        built = self._builds(monkeypatch)
+        strong = _lp_grid(0, coupling=(0.3, 1.0))
+        cold = _lp_bytes(strong)
+        solve_lp_exact(_lp_grid(1))
+        built.clear()
+        assert _lp_bytes(strong) == cold
+        assert built == [] and cold[1] > 7000
+
+    def test_other_rows_start_cold(self, monkeypatch):
+        """Same table shapes, but other scopes, other label counts, or other
+        positions (a constant factor moves every other factor's) miss the
+        kept result, and the miss keeps its own."""
+        table = [[0.0, 1.0], [1.0, 0.5]]
+        path = GraphicalModel([2, 2, 2], [Factor((0, 1), table), Factor((1, 2), table)])
+        others = [
+            GraphicalModel([2, 2, 2], [Factor((0, 1), table), Factor((0, 2), table)]),
+            GraphicalModel([2, 2, 2, 3], [Factor((0, 1), table), Factor((1, 2), table)]),
+            GraphicalModel([2, 2, 2], [Factor((), 1.0), Factor((0, 1), table), Factor((1, 2), table)]),
+        ]
+        built = self._builds(monkeypatch)
+        for other in others:
+            monkeypatch.setattr(solvers, "_kept_phase1", None)
+            cold = _lp_bytes(other)
+            solve_lp_exact(path)
+            built.clear()
+            assert _lp_bytes(other) == cold
+            assert built == [other]  # phase 1 ran again
+            assert solvers._kept_phase1[0] == _rows_key(other)  # and its result replaced path's
+
+    def test_kept_result_is_read_only_and_survives_a_failed_phase_2(self, monkeypatch):
+        model = _lp_grid(2)
+        cold = _lp_bytes(model)
+        key, kept = solvers._kept_phase1
+        saved = [a.copy() for a in (kept.index, kept.values, kept.basis)]
+        for a in (kept.index, kept.values, kept.basis):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        real = simplex._run
+        # Phase 2 gets a budget of 5 pivots past phase 1's, and raises.
+        monkeypatch.setattr(
+            simplex, "_run", lambda T, basis, allowed, _, start: real(T, basis, allowed, start + 5, start)
+        )
+        state = SimplexState()
+        with pytest.raises(SolverError, match="pivot budget"):
+            solve_lp_exact(model, state)
+        monkeypatch.setattr(simplex, "_run", real)
+        assert solvers._kept_phase1 == (key, kept)
+        assert all(np.array_equal(a, b) for a, b in zip((kept.index, kept.values, kept.basis), saved))
+        assert state.tableau is None and state.phase1 is kept
+        assert _lp_bytes(model) == cold
+
+    def test_keeps_no_model_alive(self):
+        """Neither a miss nor a hit keeps its model (a model can hold a
+        tied mask of several MB) or any of its arrays."""
+
+        class Model(GraphicalModel):  # without __slots__, so it takes weak references
+            pass
+
+        grid = _lp_grid(3)
+        for _ in range(2):  # a miss, then a hit
+            model = Model.from_arrays(grid.label_counts, [(g.scopes.copy(), g.tables.copy())
+                                                          for g in grid.groups])
+            solve_lp_exact(model)
+            assert solvers._kept_phase1[0] == _rows_key(model)
+            refs = [weakref.ref(model)] + [weakref.ref(g.scopes) for g in model.groups]
+            del model
+            gc.collect()
+            assert all(ref() is None for ref in refs)
+
+    def test_peak_memory(self):
+        """A miss on an 8x8x3 grid holds at most the constraint matrix and
+        the tableau at once, as a solve did before any result was kept; a
+        hit holds one tableau; what is kept is under a tenth of a tableau."""
+        model = _lp_grid(4)
+        tableau = 8 * (736 + 1) * (1200 + 1)  # 736 rows and 1,200 variables
+        tracemalloc.start()
+        try:
+            peaks, held = [], []
+            for _ in range(2):  # a miss, then a hit
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                solve_lp_exact(model)
+                now, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - start)
+                held.append(now - start)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 2 * tableau + (1 << 20)
+        assert peaks[1] <= tableau + (1 << 20)
+        assert held[0] <= tableau // 10
 
 
 class TestTrws:
