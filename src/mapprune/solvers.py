@@ -195,7 +195,9 @@ def bruteforce_output(model: GraphicalModel, cap: int = ENUMERATION_CAP) -> Solv
 # The phase-1 result of the last exact-lp solve that ran phase 1, with the
 # ``_rows_key`` of its model: (key, Phase1), or None.  Phase 1 reads only the
 # constraint rows, so every cold solve of a model with that key starts phase
-# 2 from a copy of it.  It holds the key, never the model.
+# 2 from a copy of it.  It holds the key, never the model.  Such a solve
+# still builds its LP: what a solve builds, and the pivots it reports, do not
+# depend on what the process solved before; only phase 1's time does.
 _kept_phase1: tuple[tuple, Phase1] | None = None
 
 
@@ -207,32 +209,30 @@ def solve_lp_exact(
     Nodes whose marginal is 0/1 within INTEGRALITY_TOL are committed; the
     rest are fractional.  Entries below SNAP_TOL count as 0.
 
-    A cold solve whose model has the constraint rows of the last one that
-    ran phase 1 (``polytope.same_rows``) starts phase 2 from a copy of that
+    Every solve that does not resume builds the LP.  One whose model has
+    the constraint rows of the last one that ran phase 1
+    (``polytope.same_rows``) then starts phase 2 from a copy of that
     phase-1 result, which the module keeps between calls: it makes the
     pivots of a cold solve and returns its bytes, and ``iterations`` still
     counts phase 1's pivots.  The kept result holds the phase-1 tableau's
     nonzero entries, a small fraction of the tableau every solve allocates,
-    and a cold solve of a model with other rows replaces it.
+    and a solve of a model with other rows replaces it.  Only a process
+    that solves models with the same rows again gains: a separate CLI call
+    never finds a kept result.
 
     ``state`` is handed to ``solve_standard_form``: empty, it keeps the
     final tableau; holding the one of a model whose LP has the same
     constraint rows, the solve resumes from it, and ``iterations`` counts
-    the pivots made from that state.  A solve that starts from a kept
-    phase-1 result or resumes builds only the LP's cost vector, not its
-    constraint matrix, which the simplex would read only for its shape.
+    the pivots made from that state.  A resumed solve builds only the LP's
+    cost vector, not its constraint matrix, which the simplex would read
+    only for its shape.
     """
     global _kept_phase1
     if model.num_nodes == 0:  # no LP: the value is the model's constant
         value = energy(model, ())
         return Marginals((), {}), value, SolverOutput((), value, "exact-lp", iterations=0)
-    if state is None:
-        state = SimplexState()
-    if state.tableau is None:
-        key = _rows_key(model)
-        state.phase1 = _kept_phase1[1] if _kept_phase1 and _kept_phase1[0] == key else None
-    if state.tableau is not None or state.phase1 is not None:
-        # Such a solve reads only the shapes of A and b: build neither.
+    if state is not None and state.tableau is not None:
+        # A resumed solve reads only the shapes of A and b: build neither.
         layout = _layout(model)
         res = solve_standard_form(
             _objective(model, layout),
@@ -241,7 +241,13 @@ def solve_lp_exact(
             state,
         )
     else:
-        _kept_phase1 = None  # frees the kept result before the next is built
+        if state is None:
+            state = SimplexState()
+        key = _rows_key(model)
+        if _kept_phase1 is not None and _kept_phase1[0] == key:
+            state.phase1 = _kept_phase1[1]
+        else:  # frees the kept result before the next is built
+            state.phase1 = _kept_phase1 = None
         layout = build_lp(model)
         res = solve_standard_form(layout.c, layout.a_eq, layout.b_eq, state)
         _kept_phase1 = key, state.phase1

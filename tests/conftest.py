@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mapprune import Factor, GraphicalModel, solvers
+from mapprune import Factor, GraphicalModel
 
 
 def random_pairwise(
@@ -61,10 +61,3 @@ def enumerate_min(model: GraphicalModel) -> tuple[float, list[tuple[int, ...]]]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
-
-
-@pytest.fixture(autouse=True)
-def _no_kept_phase1(monkeypatch):
-    """Every test starts without a kept exact-lp phase-1 result, so which
-    solves build an LP does not depend on the tests that ran before."""
-    monkeypatch.setattr(solvers, "_kept_phase1", None)

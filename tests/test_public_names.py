@@ -78,6 +78,33 @@ def test_tracer_attributes_exact_lp_layers(monkeypatch):
     assert wanted <= names, wanted - names
 
 
+def test_tracer_counts_do_not_depend_on_a_kept_phase1(monkeypatch):
+    """Two exact-lp prunes of one grid, the first with no kept phase-1
+    result and the second starting from it, show the same spans with the
+    same counts, so a benchmark round counts the same work as the one
+    before it."""
+    from mapprune import solvers
+
+    tracing = _load_tracing(monkeypatch)
+    m = mapprune.generate(mapprune.InstanceSpec(
+        kind="potts-grid", height=4, width=4, labels=3,
+        coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=2,
+    ))
+    monkeypatch.setattr(solvers, "_kept_phase1", None)
+    seen = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            mapprune.prune(m, solver="exact-lp", mode="original")
+        finally:
+            tracer.restore()
+        seen.append([(span.name, span.info) for span in tracer.spans])
+    assert solvers._kept_phase1 is not None
+    assert seen[0] == seen[1]
+    assert ("polytope.build_lp", {"vars": 264, "rows": 160}) in seen[1]
+
+
 def test_tracer_counts_every_trws_pass(monkeypatch):
     """A trws prune shows one solver.trws span per solve, the initial one and
     each warm-started loop solve, and each span's passes are its trace

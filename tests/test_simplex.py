@@ -307,6 +307,30 @@ class TestPhase1Start:
             assert result_bytes(started) == result_bytes(solve_standard_form(c, lp.a_eq, lp.b_eq))
             assert state.phase1 is kept and state.tableau is not None  # and it can resume
 
+    def test_strong_grids_from_another_grids_result_match_golden(self, monkeypatch):
+        """``strong_grid_lps`` started from the phase-1 result of a weakly
+        coupled grid with the same rows, then resumed with the perturbed
+        objectives of ``test_strong_grids_match_golden``: its golden."""
+        weak = build_lp(generate(InstanceSpec(
+            kind="potts-grid", height=6, width=6, labels=3,
+            coupling=(0.03, 0.15), noise=(0.0, 1.0), seed=9,
+        )))
+        state = SimplexState()
+        solve_standard_form(weak.c, weak.a_eq, weak.b_eq, state)
+        kept = state.phase1
+        runs = []
+        phase1 = simplex._phase1
+        monkeypatch.setattr(simplex, "_phase1", lambda *args: runs.append(1) or phase1(*args))
+        rng = np.random.default_rng(2028)
+        digests = []
+        for lp in strong_grid_lps():
+            state = SimplexState(phase1=kept)
+            digests.append(result_digest(solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)))
+            c = lp.c + rng.uniform(-1.0, 1.0, lp.num_vars)
+            digests.append(result_digest(solve_standard_form(c, lp.a_eq, lp.b_eq, state)))
+        assert digests == STRONG_GRID_GOLDEN
+        assert runs == []
+
     def test_kept_result_of_another_shape_raises(self, rng):
         small, large = sorted(pairwise_lps(rng), key=lambda lp: lp.num_vars)[:: 29]
         state = SimplexState()
