@@ -55,10 +55,8 @@ def _integers(values: Iterable, error: Exception | None = None) -> list[int] | N
 _NOT_IDS = "factor scope contains non-integer node ids"
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
     arr.setflags(write=False)
     return arr
 

@@ -30,7 +30,7 @@ from .model import (
     energy,
     optimal_reparametrization,
 )
-from .polytope import build_lp, same_rows
+from .polytope import build_lp
 from .simplex import SimplexState, solve_standard_form
 from .solvers import (
     ENUMERATION_CAP,
@@ -181,18 +181,11 @@ def prune(
     every solver is deterministic from a cold start.  Its record repeats
     the reused solve's ``solver_iterations``.
 
-    With solver="exact-lp", a loop solve whose augmented model has the same
-    LP constraint rows as the model last solved (``same_rows``: as in
-    optimal mode's first loop solve when the initial solve commits every
-    node) resumes the simplex from that solve's final tableau: only the
-    objective changed, so phase 1 is skipped and phase 2 starts at the last
-    optimal basis.  Its record's ``solver_iterations`` counts the pivots
-    made from there.  Any other exact-lp solve starts cold, and
-    ``solve_lp_exact`` keeps the phase-1 result of the last one that ran
-    phase 1, within a prune and between prunes: a cold solve over the same
-    rows starts phase 2 from a copy of it, with the pivots, bytes and
-    ``solver_iterations`` of a cold solve, and one over other rows (such as
-    a loop solve on fewer nodes) replaces it.
+    With solver="exact-lp", every solve is handed one ``SimplexState``, so
+    ``solve_lp_exact`` resumes a loop solve over the constraint rows just
+    solved from that solve's final tableau (as in optimal mode's first loop
+    solve when the initial solve commits every node).  Its record's
+    ``solver_iterations`` counts the pivots made from there.
 
     Each solve logs one DEBUG line to the "mapprune" logger: how it started
     (cold, warm, resumed or reused), its iteration count and its stop rule.
@@ -205,7 +198,7 @@ def prune(
     if solver == "trws" and not model.is_pairwise:
         raise UnsupportedArityError("the trws solver needs a pairwise model")
 
-    # The simplex's last tableau, held for a loop solve that can resume it.
+    # The simplex's last tableau, which ``solve_lp_exact`` resumes when it can.
     tableau = SimplexState() if solver == "exact-lp" else None
     out = _solve(model, solver, stop, cap, state=tableau)
     _log_solve(0, "cold", out)
@@ -246,21 +239,19 @@ def prune(
         y = PartialLabeling._sorted(tuple(domain.tolist()), tuple(test.tolist()))
         aug = build_augmented_model(work, domain, y, mode="original")
         # A cold solve is a function of its model alone, so one of the model
-        # just solved would return ``out`` again.  Over the same LP rows, only
-        # the objective changed, and the simplex resumes from its last tableau.
+        # just solved would return ``out`` again.
         if start is not None:
             start_kind = "warm"
         elif aug.model == solved:
             start_kind = "reused"
-        elif tableau is not None and same_rows(aug.model, solved):
-            start_kind = "resumed"
         else:
             start_kind = "cold"
-            if tableau is not None:
-                tableau = SimplexState()  # frees the last tableau before the next is built
         if start_kind != "reused":
+            held = None if tableau is None else tableau.rows
             out = _solve(aug.model, solver, stop, cap, start, tableau)
             solved = aug.model
+            if held is not None and tableau.rows is held:  # a cold solve writes a new record
+                start_kind = "resumed"
         _log_solve(len(trace), start_kind, out)
         if subproblem_hook is not None:
             subproblem_hook(aug, out)

@@ -107,18 +107,13 @@ def _rows_key(model: GraphicalModel) -> tuple:
     """All that ``build_lp``'s constraint rows read, as a hashable value:
     the label counts and, group by group, the table shape and the bytes of
     the scopes and positions (int64 arrays whose shapes the table shape
-    fixes).  Two models have equal keys exactly when their rows are equal,
-    and a key holds no reference to its model."""
+    fixes).  Equal keys imply equal rows, but not conversely: a constant
+    factor, or a unary on a node that had none, shifts ``positions`` and
+    gives another key for the same rows.  A key holds no reference to its
+    model."""
     return model.label_counts, tuple(
         (g.tables.shape, g.scopes.tobytes(), g.positions.tobytes()) for g in model.groups
     )
-
-
-def same_rows(a: GraphicalModel, b: GraphicalModel) -> bool:
-    """Whether ``build_lp`` gives the two models the same constraint rows
-    (``a_eq`` and ``b_eq``), so that their LPs differ at most in ``c``: an
-    exact test of their ``_rows_key``."""
-    return _rows_key(a) == _rows_key(b)
 
 
 def _objective(model: GraphicalModel, layout: _Layout) -> np.ndarray:

@@ -138,12 +138,16 @@ class SimplexState:
     Empty, it asks ``solve_standard_form`` to keep both here.  Holding a
     final tableau, it makes the next solve resume from it; holding only a
     phase-1 result, it makes the next solve start phase 2 from a copy of
-    it (see ``solve_standard_form``).
+    it (see ``solve_standard_form``).  ``rows`` records whose constraint
+    rows those are, for ``solvers.solve_lp_exact``, which fills it and
+    resumes only a state whose record matches its model; the simplex
+    never reads it.
     """
 
     tableau: np.ndarray | None = None
     basis: np.ndarray | None = None
     phase1: Phase1 | None = None
+    rows: tuple | None = None
 
 
 def _phase1(A: np.ndarray, b: np.ndarray, max_pivots: int) -> tuple[np.ndarray, np.ndarray, int]:

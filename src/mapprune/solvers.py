@@ -209,29 +209,34 @@ def solve_lp_exact(
     Nodes whose marginal is 0/1 within INTEGRALITY_TOL are committed; the
     rest are fractional.  Entries below SNAP_TOL count as 0.
 
-    Every solve that does not resume builds the LP.  One whose model has
-    the constraint rows of the last one that ran phase 1
-    (``polytope.same_rows``) then starts phase 2 from a copy of that
-    phase-1 result, which the module keeps between calls: it makes the
-    pivots of a cold solve and returns its bytes, and ``iterations`` still
-    counts phase 1's pivots.  The kept result holds the phase-1 tableau's
-    nonzero entries, a small fraction of the tableau every solve allocates,
-    and a solve of a model with other rows replaces it.  Only a process
-    that solves models with the same rows again gains: a separate CLI call
-    never finds a kept result.
+    ``state`` (a ``SimplexState``) carries the simplex from one solve to
+    the next, and this function alone decides whether a solve resumes it:
+    only when its ``rows`` record, which this function fills, equals the
+    model's ``polytope._rows_key``.  The state then holds the final tableau
+    of an LP with these constraint rows, so phase 1 is skipped, phase 2
+    starts at the last optimal basis, ``iterations`` counts the pivots made
+    from there, and only the LP's cost vector is built.  Any other state,
+    of other rows or not filled here, has its tableau released before the
+    LP is built, and the solve returns a cold solve's bytes and
+    ``iterations``.  A cold solve writes a new ``rows`` object and a
+    resumed one keeps it, so a caller can tell which ran.
 
-    ``state`` is handed to ``solve_standard_form``: empty, it keeps the
-    final tableau; holding the one of a model whose LP has the same
-    constraint rows, the solve resumes from it, and ``iterations`` counts
-    the pivots made from that state.  A resumed solve builds only the LP's
-    cost vector, not its constraint matrix, which the simplex would read
-    only for its shape.
+    Every solve that does not resume builds the LP.  One whose model has
+    the constraint rows of the last one that ran phase 1 then starts phase
+    2 from a copy of that phase-1 result, which the module keeps between
+    calls: it makes the pivots of a cold solve and returns its bytes, and
+    ``iterations`` still counts phase 1's pivots.  The kept result holds
+    the phase-1 tableau's nonzero entries, a small fraction of the tableau
+    every solve allocates, and a solve of a model with other rows replaces
+    it.  Only a process that solves models with the same rows again gains:
+    a separate CLI call never finds a kept result.
     """
     global _kept_phase1
     if model.num_nodes == 0:  # no LP: the value is the model's constant
         value = energy(model, ())
         return Marginals((), {}), value, SolverOutput((), value, "exact-lp", iterations=0)
-    if state is not None and state.tableau is not None:
+    key = _rows_key(model)
+    if state is not None and state.tableau is not None and state.rows == key:
         # A resumed solve reads only the shapes of A and b: build neither.
         layout = _layout(model)
         res = solve_standard_form(
@@ -243,7 +248,8 @@ def solve_lp_exact(
     else:
         if state is None:
             state = SimplexState()
-        key = _rows_key(model)
+        state.tableau = state.basis = None  # released before the LP is built
+        state.rows = key
         if _kept_phase1 is not None and _kept_phase1[0] == key:
             state.phase1 = _kept_phase1[1]
         else:  # frees the kept result before the next is built

@@ -330,3 +330,18 @@ def test_only_the_model_makes_factors():
         or (isinstance(node, ast.alias) and node.name == "Factor" and name != "__init__.py")
     ]
     assert found == []
+
+
+def test_one_module_decides_an_exact_lp_resume():
+    """Whether an exact-lp solve resumes a held tableau is decided in
+    solvers.py alone: only it and polytope.py, which defines the rows key,
+    name ``_rows_key``, and no module names a ``same_rows`` test."""
+    allowed = {"_rows_key": ("polytope.py", "solvers.py"), "same_rows": ()}
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in [getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)]
+        if name in allowed and path.name not in allowed[name]
+    ]
+    assert found == []

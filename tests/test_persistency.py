@@ -287,6 +287,25 @@ class TestResumedSolve:
         assert len(res.trace[1].domain) < m.num_nodes
         assert states[:2] == [False, False]
 
+    def test_debug_line_says_what_the_simplex_did(self, monkeypatch, caplog):
+        """A solve logs "resumed" exactly when the simplex started from a
+        held final tableau, and "cold" for every other exact-lp solve."""
+        real = solvers.solve_standard_form
+        kinds = []
+
+        def spy(c, a_eq, b_eq, state=None):
+            kinds.append("resumed" if state.tableau is not None else "cold")
+            return real(c, a_eq, b_eq, state)
+
+        monkeypatch.setattr(solvers, "solve_standard_form", spy)
+        for m in self._models() + [pendant_model()]:
+            kinds.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="mapprune"):
+                prune(m, solver="exact-lp", mode="optimal")
+            logged = [r.getMessage().split()[2] for r in caplog.records if r.name == "mapprune"]
+            assert [k for k in logged if k != "reused"] == kinds
+
     def test_each_solve_logs_one_debug_line(self, caplog):
         m = potts_grid(8, 0)
         with caplog.at_level(logging.DEBUG, logger="mapprune"):

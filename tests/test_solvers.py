@@ -31,7 +31,7 @@ from mapprune import (
 import mapprune
 from mapprune import simplex, solvers
 from mapprune.errors import SolverError
-from mapprune.polytope import _rows_key
+from mapprune.polytope import _rows_key, build_lp
 from mapprune.simplex import SimplexState
 from mapprune.solvers import _BLOCK, ENUMERATION_CAP, _energy_table, bruteforce_output
 from conftest import enumerate_min, random_pairwise, random_with_ternary
@@ -280,9 +280,9 @@ def _retabled(model: GraphicalModel, rng) -> GraphicalModel:
     ])
 
 
-def _lp_bytes(model: GraphicalModel):
+def _lp_bytes(model: GraphicalModel, state: SimplexState | None = None):
     """Every byte ``solve_lp_exact`` returns."""
-    mu, value, out = solve_lp_exact(model)
+    mu, value, out = solve_lp_exact(model, state)
     marginals = [v.tobytes() for v in mu.node] + [(i, t.tobytes()) for i, t in mu.factor.items()]
     return value.hex(), out.iterations, out.objective_bound.hex(), out.labels.tobytes(), marginals, out
 
@@ -412,6 +412,37 @@ class TestKeptPhase1:
             tracemalloc.stop()
         assert max(peaks) <= 2 * tableau + (1 << 20)
         assert held[0] <= tableau // 10
+
+
+def _same_shape_pair() -> tuple[GraphicalModel, GraphicalModel]:
+    """Two models whose LPs have one shape but other constraint rows; the
+    second's optimum (1, 0, 0, 0) has energy 0.2, and resuming the first's
+    final tableau with the second's costs reaches (0, 1, 0, 0), of 7.2."""
+    unary = [Factor((v,), [0.0, 0.2]) for v in range(4)]
+    first = GraphicalModel([2] * 4, unary + [Factor((0, 1), [[0, 3], [3, 0]]), Factor((2, 3), [[0, 3], [3, 0]])])
+    second = GraphicalModel([2] * 4, unary + [Factor((0, 2), [[5, 0], [0, 5]]), Factor((1, 3), [[0, 2], [2, 0]])])
+    return first, second
+
+
+class TestHeldState:
+    """Whatever state an exact-lp solve is handed, it resumes only a final
+    tableau of its own constraint rows, and otherwise returns the bytes of a
+    cold solve."""
+
+    def test_state_of_other_rows_starts_cold(self):
+        first, second = _same_shape_pair()
+        state = SimplexState()
+        solve_lp_exact(first, state)
+        cold = _lp_bytes(second)
+        assert _lp_bytes(second, state) == cold
+        assert cold[-1].labels.tolist() == [1, 0, 0, 0]
+
+    def test_state_the_solver_did_not_fill_starts_cold(self):
+        first, second = _same_shape_pair()
+        lp, state = build_lp(first), SimplexState()
+        simplex.solve_standard_form(lp.c, lp.a_eq, lp.b_eq, state)
+        assert state.rows is None and state.tableau is not None
+        assert _lp_bytes(second, state) == _lp_bytes(second)
 
 
 class TestTrws:
