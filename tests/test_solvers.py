@@ -416,8 +416,9 @@ class TestKeptPhase1:
 
 def _same_shape_pair() -> tuple[GraphicalModel, GraphicalModel]:
     """Two models whose LPs have one shape but other constraint rows; the
-    second's optimum (1, 0, 0, 0) has energy 0.2, and resuming the first's
-    final tableau with the second's costs reaches (0, 1, 0, 0), of 7.2."""
+    second's optimum (1, 0, 0, 0) has energy 0.2, and a resume of the
+    first's final tableau under the second's costs would end at (0, 1, 0, 0),
+    of energy 7.2, with every node committed."""
     unary = [Factor((v,), [0.0, 0.2]) for v in range(4)]
     first = GraphicalModel([2] * 4, unary + [Factor((0, 1), [[0, 3], [3, 0]]), Factor((2, 3), [[0, 3], [3, 0]])])
     second = GraphicalModel([2] * 4, unary + [Factor((0, 2), [[5, 0], [0, 5]]), Factor((1, 3), [[0, 2], [2, 0]])])
